@@ -244,13 +244,10 @@ def _bench_batch(rounds: int, quick: bool) -> Dict[str, Any]:
 
     Times ``M`` independent ``simulate_single`` calls against a single
     :func:`repro.sim.batch_kernel.simulate_batch` call over the same M
-    specs.  Every cell checks the batched results against the per-run
-    ones bit-for-bit on both dispatch tiers — the default one (native
-    OpenMP batch scan when compiled, else numpy) and the forced
-    pure-numpy path — so the section doubles as an end-to-end
-    consistency check of the mega-kernel.  The per-run baseline itself
-    runs the serial native single scan when available, making the
-    serial / threaded / numpy agreement explicit in the two flags.
+    specs.  Every cell checks the batched results (the OpenMP batch
+    scan) against the per-run ones (the serial single-run scan)
+    bit-for-bit, so the section doubles as an end-to-end consistency
+    check of the mega-kernel.
     """
     events = WeibullInterArrival(40, 3)
     recharge = BernoulliRecharge(0.5, 1.0)
@@ -283,15 +280,6 @@ def _bench_batch(rounds: int, quick: bool) -> Dict[str, Any]:
         batch_results, batch_s = _best_of(
             lambda: simulate_batch(specs), rounds
         )
-        saved = os.environ.get("REPRO_NATIVE_SCAN")
-        os.environ["REPRO_NATIVE_SCAN"] = "0"
-        try:
-            numpy_results = simulate_batch(specs)
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_NATIVE_SCAN", None)
-            else:
-                os.environ["REPRO_NATIVE_SCAN"] = saved
         slots = m * horizon
         cells[f"m{m}"] = {
             "runs": m,
@@ -303,7 +291,6 @@ def _bench_batch(rounds: int, quick: bool) -> Dict[str, Any]:
                 "batched": slots / batch_s if batch_s > 0 else None,
             },
             "bit_identical": batch_results == per_results,
-            "numpy_identical": numpy_results == per_results,
         }
     return {"horizon": horizon, "m_values": m_values, "cells": cells}
 
@@ -865,8 +852,7 @@ def format_bench(payload: Dict[str, Any]) -> str:
             f"  batch:{name:18s} per-run {row['per_run_seconds'] * 1e3:8.1f} ms   "
             f"batched {row['batched_seconds'] * 1e3:7.2f} ms   "
             f"{row['speedup']:6.1f}x   "
-            f"bit_identical={row['bit_identical']}   "
-            f"numpy_identical={row['numpy_identical']}"
+            f"bit_identical={row['bit_identical']}"
         )
     for name, row in payload.get("network", {}).get("cells", {}).items():
         lines.append(

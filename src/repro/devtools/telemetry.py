@@ -40,12 +40,11 @@ for the same reason.
 Dispatch records
 ----------------
 :func:`record_dispatch` additionally stores the record in a
-context-local slot *regardless* of whether a collector is active; this
-backs the deprecated :func:`repro.sim.parallel.last_dispatch` shim.
-Records are written when a ``parallel_map`` call *completes*, so nested
-or back-to-back calls no longer clobber each other mid-flight and a
-failed call reports its own failure rather than stale data from the
-previous run.
+context-local slot *regardless* of whether a collector is active; read
+it back with :func:`last_dispatch_record`.  Records are written when a
+``parallel_map`` call *completes*, so nested or back-to-back calls no
+longer clobber each other mid-flight and a failed call reports its own
+failure rather than stale data from the previous run.
 
 Manifests
 ---------
@@ -224,8 +223,8 @@ def timed(name: str) -> Iterator[None]:
 def record_dispatch(record: Dict[str, Any]) -> None:
     """Store a completed ``parallel_map`` dispatch record.
 
-    Always updates the context-local "most recent dispatch" slot (the
-    back-compat source for ``last_dispatch()``); when a collector is
+    Always updates the context-local "most recent dispatch" slot (read
+    by :func:`last_dispatch_record`); when a collector is
     active the record is additionally appended as a
     ``parallel_dispatch`` event and counted under
     ``parallel.dispatch.<mode>``.

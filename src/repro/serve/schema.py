@@ -2,12 +2,10 @@
 
 Every endpoint's body is validated against a JSON Schema before any
 solver code runs, and every response the service emits round-trips the
-same schemas (asserted in ``tests/serve``).  Validation prefers the
-``jsonschema`` package when the environment ships it and otherwise runs
-a built-in validator implementing exactly the schema subset used here
-(``type`` / ``properties`` / ``required`` / ``additionalProperties`` /
-``enum`` / numeric bounds / ``items`` / ``minItems``), so the service
-has no hard dependency beyond the scientific stack.
+same schemas (asserted in ``tests/serve``).  Validation uses the
+``jsonschema`` package with one validator per schema, built (and the
+schema itself checked) once at import, so a request pays only for the
+instance check.
 
 The schemas are data, not code: clients can fetch design intent from
 this module (or DESIGN.md §15) without importing any solver machinery.
@@ -15,14 +13,12 @@ this module (or DESIGN.md §15) without importing any solver machinery.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
+
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from repro.exceptions import ServeError
-
-try:  # pragma: no cover - exercised via whichever branch the env has
-    import jsonschema as _jsonschema
-except ImportError:  # pragma: no cover - fallback environment
-    _jsonschema = None
 
 __all__ = [
     "ERROR_RESPONSE_SCHEMA",
@@ -35,7 +31,6 @@ __all__ = [
     "SWEEP_REQUEST_SCHEMA",
     "SWEEP_RESPONSE_SCHEMA",
     "validate",
-    "validator_backend",
 ]
 
 #: Policy families a ``/solve`` request may name.  ``greedy`` is the
@@ -260,79 +255,27 @@ ERROR_RESPONSE_SCHEMA: Dict[str, Any] = {
     "additionalProperties": False,
 }
 
-_TYPE_CHECKS = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    # bool is an int subclass; JSON Schema counts booleans as neither
-    # numbers nor integers, so exclude it explicitly.
-    "number": lambda v: isinstance(v, (int, float))
-    and not isinstance(v, bool),
-    "integer": lambda v: (
-        isinstance(v, int) and not isinstance(v, bool)
+def _validator(schema: Dict[str, Any]) -> Any:
+    """A ready validator for ``schema``, after checking the schema once."""
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+#: Validators for this module's schemas, keyed by schema identity.
+_VALIDATORS: Dict[int, Any] = {
+    id(schema): _validator(schema)
+    for schema in (
+        SOLVE_REQUEST_SCHEMA,
+        SOLVE_RESPONSE_SCHEMA,
+        SIMULATE_REQUEST_SCHEMA,
+        SIMULATE_RESPONSE_SCHEMA,
+        SWEEP_REQUEST_SCHEMA,
+        SWEEP_RESPONSE_SCHEMA,
+        HEALTH_RESPONSE_SCHEMA,
+        ERROR_RESPONSE_SCHEMA,
     )
-    or (isinstance(v, float) and float(v).is_integer()),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
 }
-
-
-def _check_type(value: Any, expected: Any, path: str) -> None:
-    names = expected if isinstance(expected, list) else [expected]
-    if not any(_TYPE_CHECKS[name](value) for name in names):
-        raise ServeError(
-            f"{path}: expected {' or '.join(names)}, "
-            f"got {type(value).__name__}"
-        )
-
-
-def _validate_builtin(value: Any, schema: Dict[str, Any], path: str) -> None:
-    if "type" in schema:
-        _check_type(value, schema["type"], path)
-    if "enum" in schema and value not in schema["enum"]:
-        raise ServeError(
-            f"{path}: {value!r} not one of {sorted(map(str, schema['enum']))}"
-        )
-    if isinstance(value, bool):
-        return
-    if isinstance(value, (int, float)):
-        if "minimum" in schema and value < schema["minimum"]:
-            raise ServeError(
-                f"{path}: {value!r} below minimum {schema['minimum']}"
-            )
-        if "maximum" in schema and value > schema["maximum"]:
-            raise ServeError(
-                f"{path}: {value!r} above maximum {schema['maximum']}"
-            )
-        if (
-            "exclusiveMinimum" in schema
-            and value <= schema["exclusiveMinimum"]
-        ):
-            raise ServeError(
-                f"{path}: {value!r} must exceed "
-                f"{schema['exclusiveMinimum']}"
-            )
-    if isinstance(value, dict):
-        properties = schema.get("properties", {})
-        for name in schema.get("required", ()):
-            if name not in value:
-                raise ServeError(f"{path}: missing required key {name!r}")
-        if schema.get("additionalProperties") is False:
-            unknown = sorted(set(value) - set(properties))
-            if unknown:
-                raise ServeError(f"{path}: unknown key(s) {unknown}")
-        for name, sub in properties.items():
-            if name in value:
-                _validate_builtin(value[name], sub, f"{path}.{name}")
-    if isinstance(value, list):
-        if "minItems" in schema and len(value) < schema["minItems"]:
-            raise ServeError(
-                f"{path}: needs at least {schema['minItems']} item(s)"
-            )
-        items = schema.get("items")
-        if items:
-            for i, element in enumerate(value):
-                _validate_builtin(element, items, f"{path}[{i}]")
 
 
 def validate(
@@ -340,23 +283,13 @@ def validate(
 ) -> None:
     """Validate ``instance`` against ``schema``.
 
-    Raises :class:`~repro.exceptions.ServeError` with a JSON-pointer
-    style path on the first violation.  Uses the ``jsonschema`` package
-    when importable and the built-in subset validator otherwise; both
-    accept/reject the same instances for the schemas in this module
-    (cross-checked in ``tests/serve/test_schema.py``).
+    ``schema`` is one of this module's schemas.  Raises
+    :class:`~repro.exceptions.ServeError` with a JSON-pointer style path
+    on the most relevant violation (``jsonschema``'s ``best_match``, as
+    :func:`jsonschema.validate` reports).
     """
-    if _jsonschema is not None:
-        try:
-            _jsonschema.validate(instance=instance, schema=schema)
-        except _jsonschema.ValidationError as exc:
-            pointer: List[str] = [str(part) for part in exc.absolute_path]
-            where = ".".join([label] + pointer) if pointer else label
-            raise ServeError(f"{where}: {exc.message}") from exc
-        return
-    _validate_builtin(instance, schema, label)
-
-
-def validator_backend() -> str:
-    """Which validator :func:`validate` dispatches to (for /healthz)."""
-    return "jsonschema" if _jsonschema is not None else "builtin"
+    error = best_match(_VALIDATORS[id(schema)].iter_errors(instance))
+    if error is not None:
+        pointer: List[str] = [str(part) for part in error.absolute_path]
+        where = ".".join([label] + pointer) if pointer else label
+        raise ServeError(f"{where}: {error.message}")

@@ -443,7 +443,6 @@ class PolicyService:
         stats: Dict[str, Any] = dict(self.stats)
         stats["store.memory.entries"] = self.store.memory_len()
         stats["store.memory.bytes"] = self.store.memory.current_bytes
-        stats["validator"] = serve_schema.validator_backend()
         if self._batch_sizes:
             stats["simulate.max_batch_size"] = max(self._batch_sizes)
         return {

@@ -1,4 +1,4 @@
-"""Optional compiled slot-scan for the vectorized kernel.
+"""Compiled slot-scan: the one fast path of every simulation entry point.
 
 The dense per-slot scan (recharge reflection + table lookup + coin
 comparison) is a few floating-point operations per slot, which a C loop
@@ -20,9 +20,13 @@ run's arithmetic.  When the compiler supports ``-fopenmp`` the batch
 loops run ``parallel for`` over runs; since runs share no mutable
 state, threading changes scheduling only, never results.
 
-The accelerator is best-effort: if ``gcc`` is missing, compilation
-fails, or ``REPRO_NATIVE_SCAN=0`` is set, callers get ``None`` and fall
-back to the pure-numpy kernel paths.
+Execution paths: each model has exactly two — the Python reference
+loop (:mod:`repro.sim.engine`, :mod:`repro.sim.network`) and this C
+scan.  If no C compiler (``gcc``/``cc``) is found or compilation fails,
+:func:`get_native_scan` returns ``None`` and the eligibility gates
+report :data:`NATIVE_UNAVAILABLE`: ``backend="auto"`` then runs the
+reference loop (same results, slower) and ``backend="vectorized"``
+raises.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.devtools import telemetry
+from repro.exceptions import SimulationError
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -429,7 +434,10 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: fallback compile without it differs only in batch wall-clock.
 _OMP_FLAG = "-fopenmp"
 
-_ENV_FLAG = "REPRO_NATIVE_SCAN"
+#: The eligibility-gate reason recorded when the scan is not loaded.
+NATIVE_UNAVAILABLE = (
+    "native scan unavailable (no C compiler, or the compile failed)"
+)
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
@@ -834,14 +842,10 @@ def _compile() -> Optional[ctypes.CDLL]:
 
 
 def get_native_scan() -> Optional[NativeScan]:
-    """The compiled scan, or None when disabled or unavailable.
+    """The compiled scan, or None when no compiler could build it.
 
-    Set ``REPRO_NATIVE_SCAN=0`` to force the pure-numpy kernel paths
-    (checked on every call so tests can exercise both implementations).
+    Compiles on first use and caches the outcome for the process.
     """
-    if os.environ.get(_ENV_FLAG, "1").strip().lower() in ("0", "false", "no"):
-        telemetry.count("native.disabled_by_env")
-        return None
     global _lib_cache, _lib_tried
     if not _lib_tried:
         _lib_tried = True
@@ -856,3 +860,11 @@ def get_native_scan() -> Optional[NativeScan]:
         "native.available" if _lib_cache is not None else "native.unavailable"
     )
     return _lib_cache  # type: ignore[return-value]
+
+
+def require_native_scan() -> NativeScan:
+    """The compiled scan, for a run the eligibility gates admitted."""
+    native = get_native_scan()
+    if native is None:  # the gates admit no run without it
+        raise SimulationError(NATIVE_UNAVAILABLE)
+    return native

@@ -9,33 +9,23 @@ contiguous ``(runs, slots)`` arrays and executes the whole batch in one
 scan call:
 
 * **packing** — ragged horizons pad to the longest run; a per-run
-  length vector bounds every scan, so padding is arithmetic-inert (it
-  is never read by the native scan, and the numpy reductions below are
-  constructed so padded columns cannot change any per-run value).
-* **native batch scan** — one ``repro_batch_scan`` call dispatches
-  every packed run to the same ``static`` C routine the single-run
-  symbol uses (OpenMP ``parallel for`` over runs when compiled in;
-  threading reorders scheduling only, never arithmetic).
-* **numpy batch scan** — phase-A speculation runs across the whole
-  batch with axis-1 reductions, written against the array-API
-  namespace (:mod:`repro.sim._xp`) so a GPU array library can drop in
-  behind ``backend="auto"`` later; rows that fail speculation peel off
-  to the proven per-run sparse scans.
+  length vector bounds every scan, so padding is never read by it.
+  Recharge rows pad with ``0.0`` before the row-wise cumulative sum,
+  and IEEE ``x + 0.0 == x`` (bitwise; ``-0.0`` needs a negative
+  recharge, which eligibility excludes), so each padded row replicates
+  its last valid cumulative value.
+* **native batch scan** — one ``repro_batch_scan`` /
+  ``repro_network_batch_scan`` call dispatches every packed run to the
+  same ``static`` C routine the single-run symbol uses (OpenMP
+  ``parallel for`` over runs when compiled in; threading reorders
+  scheduling only, never arithmetic).
 
-Results split back into per-run :class:`SimulationResult` objects
-**bit-identical** to ``simulate_single`` — per run, the same FP ops in
-the same order.  The padded reductions preserve this exactly:
-
-* recharge rows pad with ``0.0`` and the axis-1 ``cumulative_sum`` adds
-  them sequentially, and IEEE ``x + 0.0 == x`` (bitwise; ``-0.0`` needs
-  a negative recharge, which eligibility excludes), so each padded
-  cumulative-recharge row replicates its last valid value;
-* activation costs pad with ``0.0`` inside a running difference, and
-  ``x - y == x + (-y)`` exactly, so per-run partial sums match the
-  reference's gathered ``subtract.accumulate`` bitwise;
-* the overflow running ``max`` is exact and the padded overshoot never
-  exceeds the last valid one, so the final column reads back each
-  run's true shave.
+Execution paths: eligible runs take the native batch scan, ineligible
+ones — including every run on a host where the scan did not compile —
+the reference loop.  Results split back into per-run
+:class:`SimulationResult` objects **bit-identical** to
+``simulate_single`` / ``simulate_network`` — per run, the same FP ops
+in the same order.
 
 Dispatch mirrors ``simulate_single`` exactly: the shared gates
 (:func:`repro.sim.kernel.policy_fast_paths`,
@@ -60,8 +50,7 @@ from repro.events.base import InterArrivalDistribution
 from repro.events.renewal import generate_event_flags_bulk
 from repro.exceptions import SimulationError
 from repro.sim import engine, kernel, network_kernel
-from repro.sim._native import get_native_scan
-from repro.sim._xp import array_namespace, cumulative_max
+from repro.sim._native import require_native_scan
 from repro.sim.metrics import (
     AoIStats,
     SimulationResult,
@@ -469,222 +458,61 @@ def _scan_batch_packed(
     initials = np.array([drawn[i].initial for i in eligible], dtype=float)
     run_probs = [_run_probs(drawn[i].fast) for i in eligible]
 
-    native = get_native_scan()
-    if native is not None:
-        telemetry.count("batch.dispatch.native", n_runs)
-        tables, offsets, sizes = _pack_tables([p for p, _ in run_probs])
-        counts, state = native.scan_batch(
-            cs2,
-            events2,
-            coins2,
-            lengths,
-            tables,
-            offsets,
-            sizes,
-            np.array([drawn[i].fast.tail for i in eligible], dtype=float),
-            np.array([m for _, m in run_probs], dtype=np.int32),
-            np.array(
-                [drawn[i].fast.full_info for i in eligible], dtype=np.int32
-            ),
-            capacities,
-            delta1s,
-            delta2s,
-            initials,
-            parallel=True,
-        )
-        scanned = [
-            (
-                int(counts[j, 0]),
-                int(counts[j, 1]),
-                int(counts[j, 2]),
-                float(state[j, 0]),
-                float(state[j, 1]),
-            )
-            for j in range(n_runs)
-        ]
+    native = require_native_scan()
+    telemetry.count("batch.dispatch.native", n_runs)
+    tables, offsets, sizes = _pack_tables([p for p, _ in run_probs])
+    counts, state = native.scan_batch(
+        cs2,
+        events2,
+        coins2,
+        lengths,
+        tables,
+        offsets,
+        sizes,
+        np.array([drawn[i].fast.tail for i in eligible], dtype=float),
+        np.array([m for _, m in run_probs], dtype=np.int32),
+        np.array(
+            [drawn[i].fast.full_info for i in eligible], dtype=np.int32
+        ),
+        capacities,
+        delta1s,
+        delta2s,
+        initials,
+        parallel=True,
+    )
+
+    # Zero padding keeps each row's event count equal to its own horizon's.
+    n_events_all = np.count_nonzero(events2, axis=1)
+    for j, i in enumerate(eligible):
+        horizon = specs[i].horizon
         # The batch scan always computes the AoI accumulators (the
         # per-run flag would force a second specialization for no
-        # measurable gain); collect_aoi only gates attachment below.
-        aois: List[Optional[AoIStats]] = [
+        # measurable gain); collect_aoi only gates attachment here.
+        aoi = (
             AoIStats(
                 area=int(counts[j, 3]),
                 area_sq=int(counts[j, 4]),
                 max_age=int(counts[j, 5]),
                 last_capture_slot=int(counts[j, 6]),
                 n_resets=int(counts[j, 1]),
-                horizon=int(lengths[j]),
+                horizon=horizon,
             )
-            for j in range(n_runs)
-        ]
-    else:
-        telemetry.count("batch.dispatch.numpy", n_runs)
-        scanned, aois = _numpy_batch_scan(
-            specs, drawn, eligible, events2, cs2, coins2, lengths,
-            capacities, delta1s, delta2s, initials,
+            if specs[i].collect_aoi
+            else None
         )
-
-    # Zero padding keeps each row's event count equal to its own horizon's.
-    n_events_all = np.count_nonzero(events2, axis=1)
-    for j, i in enumerate(eligible):
-        horizon = specs[i].horizon
-        activations, captures, blocked, neg, shave = scanned[j]
         results[i] = kernel._result(
-            activations,
-            captures,
-            blocked,
+            int(counts[j, 0]),
+            int(counts[j, 1]),
+            int(counts[j, 2]),
             int(n_events_all[j]),
-            neg,
-            shave,
+            float(state[j, 0]),
+            float(state[j, 1]),
             float(cs2[j, horizon - 1]),
             float(specs[i].delta1),
             float(specs[i].delta2),
             horizon,
-            aoi=aois[j] if specs[i].collect_aoi else None,
+            aoi=aoi,
         )
-
-
-def _numpy_batch_scan(
-    specs: Sequence[RunSpec],
-    drawn: Sequence[_Drawn],
-    eligible: Sequence[int],
-    events2: np.ndarray,
-    cs2: np.ndarray,
-    coins2: np.ndarray,
-    lengths: np.ndarray,
-    capacities: np.ndarray,
-    delta1s: np.ndarray,
-    delta2s: np.ndarray,
-    initials: np.ndarray,
-) -> Tuple[
-    List[Tuple[int, int, int, float, float]],
-    List[Optional[AoIStats]],
-]:
-    """Batched phase-A speculation; peel failures to the per-run scans.
-
-    Returns per packed run ``(activations, captures, blocked, neg,
-    shave)`` exactly as :func:`repro.sim.kernel._scan_upfront` /
-    ``_scan_partial`` would per run, plus the matching
-    :class:`AoIStats` list (closed forms over each run's capture
-    slots).
-    """
-    n_runs = len(eligible)
-    stride = events2.shape[1]
-    events_bool = events2.view(np.bool_)
-    scanned: List[Optional[Tuple[int, int, int, float, float]]] = (
-        [None] * n_runs
-    )
-    aois: List[Optional[AoIStats]] = [None] * n_runs
-
-    # Desire is precomputable per slot except for non-constant
-    # partial-information recency tables — same rule as the per-run
-    # kernel, evaluated from the same gate outputs.
-    desire2 = np.zeros((n_runs, stride), dtype=bool)
-    upfront: List[int] = []
-    for j, i in enumerate(eligible):
-        fast = drawn[i].fast
-        horizon = specs[i].horizon
-        if fast.slot_probs is not None:
-            probs: Optional[np.ndarray] = np.asarray(
-                fast.slot_probs, dtype=np.float64
-            )
-        elif fast.full_info:
-            probs = kernel._full_info_probs(
-                events_bool[j, :horizon], fast.table, fast.tail, horizon
-            )
-        elif (
-            network_kernel._constant_table_prob(fast.table, fast.tail)
-            is not None
-        ):
-            probs = np.full(horizon, fast.tail)
-        else:
-            probs = None
-        if probs is None:
-            telemetry.count("batch.scan.numpy_partial")
-            a, c, b, neg, shave, slots = kernel._scan_partial(
-                events_bool[j, :horizon],
-                cs2[j, :horizon],
-                coins2[j, :horizon],
-                fast.table,
-                fast.tail,
-                float(capacities[j]),
-                float(delta1s[j]),
-                float(delta2s[j]),
-                float(initials[j]),
-            )
-            scanned[j] = (a, c, b, neg, shave)
-            aois[j] = aoi_from_capture_slots(slots, horizon)
-        else:
-            desire2[j, :horizon] = coins2[j, :horizon] < probs
-            upfront.append(j)
-
-    if not upfront:
-        return scanned, aois  # type: ignore[return-value]
-    telemetry.count("batch.scan.numpy_upfront", len(upfront))
-
-    rows = np.asarray(upfront, dtype=np.intp)
-    xp = array_namespace(cs2, coins2)
-    desire_up = desire2[rows]
-    events_up = events_bool[rows]
-    cs_up = cs2[rows]
-    cost_col = (delta1s[rows] + delta2s[rows])[:, None]
-    delta1_col = delta1s[rows][:, None]
-    init_col = initials[rows][:, None]
-    cap_col = capacities[rows][:, None]
-
-    # Batched phase A (speculation): assume no desired slot is
-    # battery-blocked.  Zero costs at undesired/padded slots keep every
-    # per-run partial sum bitwise equal to the gathered
-    # subtract.accumulate of the per-run scan (x + (-0.0) == x, and
-    # x - y == x + (-y)).
-    costs = xp.where(
-        desire_up, xp.where(events_up, cost_col, delta1_col), 0.0
-    )
-    neg_full = xp.cumulative_sum(
-        xp.concat([init_col, -costs], axis=1), axis=1
-    )
-    pre = neg_full[:, :-1] + cs_up
-    over = pre - cap_col
-    shave_run = xp.maximum(cumulative_max(xp, over, axis=1), 0.0)
-    battery = pre - shave_run
-    failed = np.asarray(
-        xp.any(desire_up & (battery < cost_col), axis=1)
-    )
-
-    activations = np.count_nonzero(desire_up, axis=1)
-    captures = np.count_nonzero(desire_up & events_up, axis=1)
-    neg_last = np.asarray(neg_full[:, -1])
-    shave_last = np.asarray(shave_run[:, -1])
-    for k, j in enumerate(upfront):
-        horizon = int(lengths[j])
-        if failed[k]:
-            # Speculation failed for this run: its blocked slots need
-            # the per-run sparse scan (phase B), unchanged.
-            telemetry.count("batch.scan.numpy_sparse")
-            a, c, b, neg, shave, slots = kernel._scan_upfront(
-                desire2[j, :horizon],
-                events_bool[j, :horizon],
-                cs2[j, :horizon],
-                float(capacities[j]),
-                float(delta1s[j]),
-                float(delta2s[j]),
-                float(initials[j]),
-            )
-            scanned[j] = (a, c, b, neg, shave)
-            aois[j] = aoi_from_capture_slots(slots, horizon)
-        else:
-            scanned[j] = (
-                int(activations[k]),
-                int(captures[k]),
-                0,
-                float(neg_last[k]),
-                float(shave_last[k]),
-            )
-            # Speculation held, so every desired event slot captured.
-            cap_idx = np.nonzero(desire_up[k] & events_up[k])[0]
-            aois[j] = aoi_from_capture_slots(
-                (cap_idx + 1).astype(np.int64), horizon
-            )
-    return scanned, aois  # type: ignore[return-value]
 
 
 @dataclass
@@ -822,47 +650,28 @@ def simulate_network_runs(
     if not eligible:
         return results  # type: ignore[return-value]
 
-    native = get_native_scan()
-    positive = [i for i in eligible if specs[i].horizon > 0]
-    if native is None or not positive:
-        # No compiled batch entry: the per-run network kernel is already
-        # the fastest remaining path and shares the batch's draws.
-        telemetry.count("network_batch.dispatch.numpy", len(eligible))
-        for i in eligible:
-            spec = specs[i]
-            d = drawn[i]
-            if d.plan is None:  # pragma: no cover - eligible => planned
-                raise SimulationError(f"spec {i}: eligible run lost its plan")
-            results[i] = network_kernel.simulate_network_kernel(
-                events=d.events,
-                recharge_rows=d.recharge_rows,
-                coins=d.coins,
-                plan=d.plan,
-                capacity=float(spec.capacity),
-                delta1=float(spec.delta1),
-                delta2=float(spec.delta2),
-                horizon=spec.horizon,
-                initial=d.initial,
-            )
-        return results  # type: ignore[return-value]
-
     telemetry.count("network_batch.dispatch.native", len(eligible))
+    positive: List[int] = []
     for i in eligible:
-        if specs[i].horizon == 0:
-            d = drawn[i]
-            if d.plan is None:  # pragma: no cover - eligible => planned
-                raise SimulationError(f"spec {i}: eligible run lost its plan")
-            results[i] = network_kernel.simulate_network_kernel(
-                events=d.events,
-                recharge_rows=d.recharge_rows,
-                coins=d.coins,
-                plan=d.plan,
-                capacity=float(specs[i].capacity),
-                delta1=float(specs[i].delta1),
-                delta2=float(specs[i].delta2),
-                horizon=0,
-                initial=d.initial,
-            )
+        d = drawn[i]
+        if d.plan is None:  # pragma: no cover - eligible => planned
+            raise SimulationError(f"spec {i}: eligible run lost its plan")
+        if specs[i].horizon > 0:
+            positive.append(i)
+            continue
+        results[i] = network_kernel.simulate_network_kernel(
+            events=d.events,
+            recharge_rows=d.recharge_rows,
+            coins=d.coins,
+            plan=d.plan,
+            capacity=float(specs[i].capacity),
+            delta1=float(specs[i].delta1),
+            delta2=float(specs[i].delta2),
+            horizon=0,
+            initial=d.initial,
+        )
+    if not positive:
+        return results  # type: ignore[return-value]
 
     n_runs = len(positive)
     lengths = np.array([specs[i].horizon for i in positive], dtype=np.int64)
@@ -912,7 +721,7 @@ def simulate_network_runs(
     cs_all = np.cumsum(recharge_all, axis=1)
 
     tables, offsets, sizes = _pack_tables(probs_arrays)
-    counts, state, aoi_rows = native.scan_network_batch(
+    counts, state, aoi_rows = require_native_scan().scan_network_batch(
         cs_all,
         events2,
         coins2,

@@ -18,9 +18,10 @@ Backends
 ``simulate_single`` accepts ``backend="auto" | "reference" | "vectorized"``.
 The reference backend is the readable per-slot Python loop below; the
 vectorized backend (:mod:`repro.sim.kernel`) replays the identical
-arithmetic with array primitives (and an optional compiled scan) and is
-bit-identical to it.  Both consume the same three RNG sub-streams in the
-same order, so a seed pins one trajectory regardless of backend.
+arithmetic in a compiled C scan and is bit-identical to it.  Both
+consume the same three RNG sub-streams in the same order, so a seed
+pins one trajectory regardless of backend.  Without a C compiler
+``auto`` runs the reference loop for every configuration.
 
 To make bit-identity achievable the battery is maintained in *reflected*
 form: instead of the clipped level ``B_t`` the loop tracks
@@ -32,8 +33,8 @@ form: instead of the clipped level ``B_t`` the loop tracks
 and the level before each decision is ``(neg + cum) - shave``.  This is
 the Skorokhod-reflection solution of the clip recursion: exactly equal in
 real arithmetic, and — because every term is a plain sequential sum — a
-form that ``np.cumsum`` / ``np.subtract.accumulate`` / ``np.maximum``
-reproduce operation-for-operation in floating point.
+form the C scan (and ``np.cumsum`` for ``cum``) reproduces
+operation-for-operation in floating point.
 """
 
 from __future__ import annotations

@@ -1,33 +1,17 @@
-"""Vectorized fast-path kernel for :func:`repro.sim.simulate_single`.
+"""Fast path of :func:`repro.sim.simulate_single`: dispatch to the C scan.
 
 The reference engine walks every slot in Python.  For the policies the
 paper actually simulates — recency tables (greedy, clustering,
-aggressive, EBCW) and slot tables (periodic) — almost all of that work
-collapses into array primitives:
+aggressive, EBCW) and slot tables (periodic) — the per-slot activation
+probability is a table lookup, so the whole slot loop can run as
+compiled IEEE-strict scalar code (:mod:`repro.sim._native`).
 
-* **desire** (``coin < prob``) is computable up front whenever the
-  activation probability does not depend on the capture history: slot
-  tables, full-information recency tables (recency follows from the
-  event flags alone), and constant tables (aggressive);
-* the only genuinely sequential state is the **battery**, and in the
-  engine's reflected form (``battery = (neg + cum_recharge) - shave``)
-  it advances by pure prefix sums between activation candidates.
+Execution paths: a configuration the gates admit
+(:func:`policy_fast_paths`, :func:`ineligibility_reason`) runs the C
+scan; every other one — including any run on a host where the scan did
+not compile — runs the reference loop in :mod:`repro.sim.engine`.
 
-The kernel therefore runs in phases:
-
-* **native scan** — when a C compiler is available
-  (:mod:`repro.sim._native`), the whole slot loop runs as compiled
-  IEEE-strict scalar code.  This is the fastest path and handles every
-  eligible configuration, including partial-information recency.
-* **phase A (speculation)** — pure numpy: assume no activation is ever
-  battery-blocked, compute every per-slot quantity with ``cumsum`` /
-  ``subtract.accumulate`` / ``maximum.accumulate``, and accept the
-  result if the assumption verifies (common for well-provisioned runs).
-* **phase B (sparse scan)** — pure numpy + Python: walk only the
-  candidate slots (``coin < p_max``); blocked stretches are skipped in
-  ``O(log n)`` via bisection on an exactly-conservative predicate.
-
-Every path performs the same floating-point operations in the same
+The C scan performs the same floating-point operations in the same
 order as the reference loop, so results are **bit-identical** — this is
 asserted by ``tests/sim/test_kernel.py`` and re-checked by the
 benchmark harness on every run.
@@ -40,13 +24,17 @@ receives the exact arrays (events, recharge, coins) that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.policy import ActivationPolicy, InfoModel
 from repro.devtools import telemetry
-from repro.sim._native import get_native_scan
+from repro.sim._native import (
+    NATIVE_UNAVAILABLE,
+    get_native_scan,
+    require_native_scan,
+)
 from repro.sim.metrics import (
     AoIStats,
     SensorStats,
@@ -111,8 +99,9 @@ def ineligibility_reason(
 ) -> Optional[str]:
     """Why this configuration cannot use the kernel; None when it can.
 
-    The rule is independent of whether the native scan compiled, so a
-    given configuration always takes the same backend under ``auto``.
+    Structural reasons come first, so a configuration the kernel cannot
+    express is reported as such on every host; the last reason is a
+    missing C scan.
     """
     if battery_aware:
         return "policy is battery-aware (needs per-slot battery feedback)"
@@ -125,6 +114,8 @@ def ineligibility_reason(
         )
     if recharge_amounts.size and float(recharge_amounts.min()) < 0:
         return "recharge sequence contains negative amounts"
+    if get_native_scan() is None:
+        return NATIVE_UNAVAILABLE
     return None
 
 
@@ -143,83 +134,42 @@ def simulate_kernel(
     initial: float,
     collect_aoi: bool = True,
 ) -> SimulationResult:
-    """Run the vectorized kernel on pre-drawn arrays (see module docs).
+    """Run the C scan on pre-drawn arrays (see module docs).
 
     Age-of-Information statistics are closed formulas over the
-    capture-slot sequence (pure integers), so every path reproduces the
-    reference accumulation exactly; ``collect_aoi=False`` skips them.
+    capture-slot sequence (pure integers) accumulated inside the scan,
+    reproducing the reference accumulation exactly;
+    ``collect_aoi=False`` skips them.
     """
     if horizon == 0:
         return _result(
             0, 0, 0, 0, initial, 0.0, 0.0, delta1, delta2, 0,
             aoi=aoi_from_capture_slots((), 0) if collect_aoi else None,
         )
+    native = require_native_scan()
+    telemetry.count("kernel.scan.native")
     cs = np.cumsum(recharge_amounts)  # sequential, matches the scalar sum
-    n_events = int(np.count_nonzero(events))
-
-    native = get_native_scan()
-    if native is not None:
-        telemetry.count("kernel.scan.native")
-        if slot_probs is not None:
-            probs, slot_mode = np.asarray(slot_probs, dtype=np.float64), True
-        else:
-            probs, slot_mode = np.asarray(table, dtype=np.float64), False
-        activations, captures, blocked, neg, shave, raw_aoi = native.scan(
-            cs, events, coins, probs, float(tail), slot_mode, full_info,
-            capacity, delta1, delta2, initial, compute_aoi=collect_aoi,
-        )
-        aoi: Optional[AoIStats] = None
-        if collect_aoi:
-            area, area_sq, max_age, last_capture = raw_aoi
-            aoi = AoIStats(
-                area=area,
-                area_sq=area_sq,
-                max_age=max_age,
-                last_capture_slot=last_capture,
-                n_resets=captures,
-                horizon=horizon,
-            )
-        return _result(
-            activations, captures, blocked, n_events,
-            neg, shave, float(cs[-1]), delta1, delta2, horizon, aoi=aoi,
-        )
-
-    # Pure-numpy paths.  Desire is computable up front except for
-    # non-constant partial-information recency tables.
-    desire: Optional[np.ndarray] = None
     if slot_probs is not None:
-        desire = coins < np.asarray(slot_probs, dtype=np.float64)
-    elif full_info:
-        desire = coins < _full_info_probs(events, table, tail, horizon)
+        probs, slot_mode = np.asarray(slot_probs, dtype=np.float64), True
     else:
-        tsize = 0 if table is None else table.size
-        if tsize == 0:
-            desire = coins < tail
-        else:
-            tmin = float(np.min(table))
-            tmax = float(np.max(table))
-            # Constant table with tail equal to it (e.g. aggressive):
-            # expressed with inequalities to avoid float equality.
-            if tmin >= tmax and tail >= tmax and tail <= tmin:
-                desire = coins < tail
-    if desire is not None:
-        telemetry.count("kernel.scan.numpy_upfront")
-        activations, captures, blocked, neg, shave, capture_slots = (
-            _scan_upfront(
-                desire, events, cs, capacity, delta1, delta2, initial,
-            )
+        probs, slot_mode = np.asarray(table, dtype=np.float64), False
+    activations, captures, blocked, neg, shave, raw_aoi = native.scan(
+        cs, events, coins, probs, float(tail), slot_mode, full_info,
+        capacity, delta1, delta2, initial, compute_aoi=collect_aoi,
+    )
+    aoi: Optional[AoIStats] = None
+    if collect_aoi:
+        area, area_sq, max_age, last_capture = raw_aoi
+        aoi = AoIStats(
+            area=area,
+            area_sq=area_sq,
+            max_age=max_age,
+            last_capture_slot=last_capture,
+            n_resets=captures,
+            horizon=horizon,
         )
-    else:
-        telemetry.count("kernel.scan.numpy_partial")
-        activations, captures, blocked, neg, shave, capture_slots = (
-            _scan_partial(
-                events, cs, coins, table, tail,
-                capacity, delta1, delta2, initial,
-            )
-        )
-    aoi = aoi_from_capture_slots(capture_slots, horizon) if collect_aoi else None
     return _result(
-        activations, captures, blocked, n_events,
+        activations, captures, blocked, int(np.count_nonzero(events)),
         neg, shave, float(cs[-1]), delta1, delta2, horizon, aoi=aoi,
     )
 
@@ -255,226 +205,4 @@ def _result(
         sensors=(stats,),
         battery_trace=None,
         aoi=aoi,
-    )
-
-
-def _full_info_probs(
-    events: np.ndarray,
-    table: Optional[np.ndarray],
-    tail: float,
-    horizon: int,
-) -> np.ndarray:
-    """Per-slot activation probabilities under full information.
-
-    Full-information recency is slots-since-last-event, computable in
-    one pass: the last event slot at or before ``t - 1`` via a running
-    maximum over ``t * 1[event at t]``.
-    """
-    slots = np.arange(1, horizon + 1, dtype=np.int64)
-    event_slots = np.where(events, slots, 0)
-    last_incl = np.maximum.accumulate(event_slots)
-    last_before = np.concatenate(([0], last_incl[:-1]))
-    recency = slots - last_before  # >= 1; event at slot 0 is implicit
-    tsize = 0 if table is None else table.size
-    if tsize == 0:
-        return np.full(horizon, tail)
-    clipped = np.minimum(recency, tsize) - 1
-    probs: np.ndarray = np.asarray(table, dtype=np.float64)[clipped]
-    if bool(np.any(recency > tsize)):
-        probs = np.where(recency > tsize, tail, probs)
-    return probs
-
-
-def _scan_upfront(
-    desire: np.ndarray,
-    events: np.ndarray,
-    cs: np.ndarray,
-    capacity: float,
-    delta1: float,
-    delta2: float,
-    initial: float,
-) -> Tuple[int, int, int, float, float, np.ndarray]:
-    """Scan when desire is known per slot.
-
-    Returns counts + final state + the ascending 1-based capture-slot
-    array (the AoI closed forms consume it).
-    """
-    cost_capture = delta1 + delta2
-    activation_cost = delta1 + delta2
-    horizon = cs.shape[0]
-
-    # Phase A: speculate that no desired slot is battery-blocked.  Then
-    # every desired slot activates, so the running cost subtractions are
-    # known and everything vectorizes; verify the assumption afterwards.
-    des_idx = np.nonzero(desire)[0]
-    costs = np.where(events[des_idx], cost_capture, delta1)
-    negs = np.subtract.accumulate(
-        np.concatenate(([initial], costs))
-    )
-    before = np.concatenate(
-        ([0], np.cumsum(desire[:-1], dtype=np.int64))
-    )
-    pre = negs[before] + cs
-    over = pre - capacity
-    shave_run = np.maximum(np.maximum.accumulate(over), 0.0)
-    battery = pre - shave_run
-    if not bool(np.any(desire & (battery < activation_cost))):
-        telemetry.count("kernel.upfront.speculation_ok")
-        cap_idx = np.nonzero(events[des_idx])[0]
-        return (
-            int(des_idx.size),
-            int(cap_idx.size),
-            0,
-            float(negs[-1]),
-            float(shave_run[-1]),
-            (des_idx[cap_idx] + 1).astype(np.int64),
-        )
-    telemetry.count("kernel.upfront.sparse_scan")
-
-    # Phase B: sparse scan over the desired slots only.  Between
-    # activations ``neg`` is constant and ``cs`` is non-decreasing, so
-    # the battery level and the overshoot are monotone — the running
-    # ``shave`` maximum can be applied lazily at each visited candidate,
-    # and blocked stretches can be skipped by bisection.
-    csc: List[float] = cs[des_idx].tolist()
-    evc: List[bool] = events[des_idx].tolist()
-    slots_c: List[int] = (des_idx + 1).tolist()
-    n = len(csc)
-    neg = initial
-    shave = 0.0
-    activations = 0
-    captures = 0
-    blocked = 0
-    capture_slots: List[int] = []
-    i = 0
-    while i < n:
-        pre_i = neg + csc[i]
-        over_i = pre_i - capacity
-        if over_i > shave:
-            shave = over_i
-        if (pre_i - shave) < activation_cost:
-            j = _first_unblocked(csc, i + 1, n, neg, shave, activation_cost)
-            blocked += j - i
-            i = j
-            continue
-        activations += 1
-        if evc[i]:
-            captures += 1
-            neg = neg - cost_capture
-            capture_slots.append(slots_c[i])
-        else:
-            neg = neg - delta1
-        i += 1
-    if horizon:  # trailing slots: overshoot is monotone, max at the end
-        over_end = (neg + float(cs[-1])) - capacity
-        if over_end > shave:
-            shave = over_end
-    return (
-        activations, captures, blocked, neg, shave,
-        np.asarray(capture_slots, dtype=np.int64),
-    )
-
-
-def _first_unblocked(
-    csc: List[float],
-    lo: int,
-    hi: int,
-    neg: float,
-    shave: float,
-    activation_cost: float,
-) -> int:
-    """First index in ``[lo, hi)`` whose battery could clear the gate.
-
-    Uses the frozen ``shave`` from the blocked slot, which can only
-    understate the true shave — so the predicate over-estimates the
-    battery and every skipped index is genuinely blocked.  The caller
-    re-evaluates the landing index with the true running state.  The
-    predicate is monotone (``cs`` non-decreasing, fp rounding monotone),
-    so a short linear probe followed by bisection is exact.
-    """
-    probe_end = min(lo + 4, hi)
-    for j in range(lo, probe_end):
-        if ((neg + csc[j]) - shave) >= activation_cost:
-            return j
-    lo2, hi2 = probe_end, hi
-    while lo2 < hi2:
-        mid = (lo2 + hi2) // 2
-        if ((neg + csc[mid]) - shave) >= activation_cost:
-            hi2 = mid
-        else:
-            lo2 = mid + 1
-    return lo2
-
-
-def _scan_partial(
-    events: np.ndarray,
-    cs: np.ndarray,
-    coins: np.ndarray,
-    table: Optional[np.ndarray],
-    tail: float,
-    capacity: float,
-    delta1: float,
-    delta2: float,
-    initial: float,
-) -> Tuple[int, int, int, float, float, np.ndarray]:
-    """Sparse scan for non-constant partial-information recency tables.
-
-    Recency (slots since last capture) depends on the capture history,
-    so desire cannot be precomputed — but only slots with
-    ``coin < p_max`` can possibly activate, and between candidates the
-    recency simply advances with time.  The scan walks that candidate
-    superset, resolving desire, battery and recency per candidate.
-    Returns counts + final state + the 1-based capture-slot array.
-    """
-    cost_capture = delta1 + delta2
-    activation_cost = delta1 + delta2
-    horizon = cs.shape[0]
-    table_arr = (
-        np.empty(0) if table is None else np.asarray(table, dtype=np.float64)
-    )
-    tsize = table_arr.size
-    p_max = float(max(np.max(table_arr), tail)) if tsize else tail
-
-    cand = np.nonzero(coins < p_max)[0]
-    cand_slots: List[int] = (cand + 1).tolist()
-    csc: List[float] = cs[cand].tolist()
-    coin_c: List[float] = coins[cand].tolist()
-    evc: List[bool] = events[cand].tolist()
-    table_list: List[float] = table_arr.tolist()
-
-    neg = initial
-    shave = 0.0
-    activations = 0
-    captures = 0
-    blocked = 0
-    last_capture = 0  # slot of the implicit event before slot 1
-    capture_slots: List[int] = []
-    for k in range(len(csc)):
-        slot = cand_slots[k]
-        recency = slot - last_capture
-        prob = table_list[recency - 1] if recency <= tsize else tail
-        if not coin_c[k] < prob:
-            continue
-        pre_k = neg + csc[k]
-        over_k = pre_k - capacity
-        if over_k > shave:
-            shave = over_k
-        if (pre_k - shave) < activation_cost:
-            blocked += 1
-            continue
-        activations += 1
-        if evc[k]:
-            captures += 1
-            neg = neg - cost_capture
-            last_capture = slot
-            capture_slots.append(slot)
-        else:
-            neg = neg - delta1
-    if horizon:
-        over_end = (neg + float(cs[-1])) - capacity
-        if over_end > shave:
-            shave = over_end
-    return (
-        activations, captures, blocked, neg, shave,
-        np.asarray(capture_slots, dtype=np.int64),
     )

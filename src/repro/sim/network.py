@@ -15,15 +15,16 @@ Backends
 with the same contract as :func:`repro.sim.simulate_single`: the
 reference backend is the readable per-slot loop below, the vectorized
 backend (:mod:`repro.sim.network_kernel`) replays the identical
-arithmetic with array primitives (plus an optional compiled scan) and is
-bit-identical to it.  ``auto`` uses the kernel whenever the coordinator
-is eligible and silently falls back to the reference loop otherwise.
+arithmetic in a compiled C scan and is bit-identical to it.  ``auto``
+uses the kernel whenever the coordinator is eligible and the scan
+compiled, and falls back to the reference loop otherwise (recording a
+``backend_fallback`` telemetry event with the reason).
 
 Like the single-sensor engine, each sensor's battery is maintained in
 *reflected* form — ``battery_s = (neg_s + cum_s) - shave_s`` with
 ``cum_s`` the per-sensor cumulative recharge, ``neg_s`` the initial
 energy minus activation costs, and ``shave_s`` the running overflow
-maximum — so the per-slot loop and the vectorized scans perform the same
+maximum — so the per-slot loop and the C scan perform the same
 floating-point operations in the same order (see DESIGN.md §8/§10).
 """
 

@@ -1,48 +1,31 @@
-"""Vectorized fast-path kernel for :func:`repro.sim.simulate_network`.
+"""Fast path of :func:`repro.sim.simulate_network`: dispatch to the C scan.
 
 The multi-sensor reference loop walks every slot in Python and touches
 every sensor on every slot.  For the coordinators the paper simulates —
 round-robin M-FI / M-PI, the multi-aggressive baseline and the
-block-rotated periodic baseline — the work decomposes per sensor:
+block-rotated periodic baseline — the per-slot decisions reduce to
+arrays the compiled scan (:mod:`repro.sim._native`) can consume:
 
 * **responsibility** is a pure function of the slot index (slot and
   block round-robin), or of the precomputed event stream (active-slot
   rotation under full information);
-* **desire** (``coin < prob``) is computable up front whenever the
-  activation probability does not depend on realized captures: slot
-  tables, full-information recency tables, and constant tables;
-* each sensor's battery then advances independently in the engine's
-  Skorokhod-reflected form, so the single-sensor scan machinery of
-  :mod:`repro.sim.kernel` applies per sensor unchanged.
+* the activation probability of the responsible sensor is a slot table
+  or a shared recency table, exactly as for a single sensor.
 
-Under **partial information** with a non-constant recency table the
-shared recency depends on realized captures (which depend on battery
-state), so desire cannot be precomputed; the kernel then walks only the
-candidate slots (``coin < p_max``) with lazily-reflected per-sensor
-batteries — the sparse-scan pattern proven in :mod:`repro.sim.kernel`.
+:func:`plan_or_reason` precomputes that :class:`NetworkPlan`; the C scan
+then runs the whole slot loop over the responsibility array, with each
+sensor's battery in the engine's Skorokhod-reflected form.
 
-Execution paths, fastest first:
+Execution paths: an eligible configuration runs the C scan; every other
+one — unsupported coordinators (custom subclasses, active-slot rotation
+with capture-dependent policies, battery-aware policies) and any run on
+a host where the scan did not compile — runs the reference loop in
+:mod:`repro.sim.network`.
 
-* **native scan** — when a C compiler is available
-  (:mod:`repro.sim._native`; ``REPRO_NATIVE_SCAN=0`` disables), the
-  whole slot loop runs as compiled IEEE-strict scalar code over the
-  responsibility array, handling every eligible configuration.
-* **per-sensor upfront scans** — pure numpy, for precomputable desire:
-  each sensor reuses the single-sensor speculate-and-validate scan.
-* **sparse candidate scan** — pure numpy + Python, for capture-coupled
-  partial-information tables.
-
-Every path performs the same floating-point operations in the same
+The C scan performs the same floating-point operations in the same
 order as the reference loop, so results are **bit-identical** — this is
 asserted by ``tests/sim/test_network_kernel.py`` and re-checked by the
 ``network`` section of the benchmark harness on every run.
-
-Eligibility is structural (coordinator type, assignment mode, policy
-fast paths) and independent of whether the native scan compiled, so a
-given configuration always takes the same backend under ``auto``;
-unsupported coordinators (custom subclasses, active-slot rotation with
-capture-dependent policies, battery-aware policies) fall back to the
-reference loop.
 """
 
 from __future__ import annotations
@@ -61,9 +44,12 @@ from repro.core.multi import (
 )
 from repro.core.policy import InfoModel
 from repro.devtools import telemetry
-from repro.sim._native import get_native_scan
+from repro.sim._native import (
+    NATIVE_UNAVAILABLE,
+    get_native_scan,
+    require_native_scan,
+)
 from repro.sim.engine import _TABLE_SLOTS
-from repro.sim.kernel import _full_info_probs, _scan_upfront
 from repro.sim.metrics import (
     AoIStats,
     SensorStats,
@@ -109,6 +95,33 @@ def _active_slot_resp(probs: np.ndarray, n_sensors: int) -> np.ndarray:
     ).astype(np.int64)
 
 
+def _full_info_probs(
+    events: np.ndarray,
+    table: Optional[np.ndarray],
+    tail: float,
+    horizon: int,
+) -> np.ndarray:
+    """Per-slot activation probabilities under full information.
+
+    Full-information recency is slots-since-last-event, computable in
+    one pass: the last event slot at or before ``t - 1`` via a running
+    maximum over ``t * 1[event at t]``.
+    """
+    slots = np.arange(1, horizon + 1, dtype=np.int64)
+    event_slots = np.where(events, slots, 0)
+    last_incl = np.maximum.accumulate(event_slots)
+    last_before = np.concatenate(([0], last_incl[:-1]))
+    recency = slots - last_before  # >= 1; event at slot 0 is implicit
+    tsize = 0 if table is None else table.size
+    if tsize == 0:
+        return np.full(horizon, tail)
+    clipped = np.minimum(recency, tsize) - 1
+    probs: np.ndarray = np.asarray(table, dtype=np.float64)[clipped]
+    if bool(np.any(recency > tsize)):
+        probs = np.where(recency > tsize, tail, probs)
+    return probs
+
+
 def _constant_table_prob(
     table: Optional[np.ndarray], tail: float
 ) -> Optional[float]:
@@ -128,6 +141,13 @@ def _constant_table_prob(
     return None
 
 
+def _admit(plan: NetworkPlan) -> Tuple[Optional[NetworkPlan], Optional[str]]:
+    """A structurally eligible plan runs only where the C scan loaded."""
+    if get_native_scan() is None:
+        return None, NATIVE_UNAVAILABLE
+    return plan, None
+
+
 def plan_or_reason(
     coordinator: Coordinator,
     events: np.ndarray,
@@ -137,17 +157,16 @@ def plan_or_reason(
     """Build the kernel's dispatch plan, or explain why it cannot run.
 
     Returns ``(plan, None)`` when the configuration is eligible and
-    ``(None, reason)`` otherwise.  The eligibility rule depends only on
-    the coordinator's structure and the recharge sign — never on the
-    drawn coins or on whether the native scan compiled — so a given
-    configuration always takes the same backend under ``auto``.
+    ``(None, reason)`` otherwise.  The rule depends on the coordinator's
+    structure and the recharge sign — never on the drawn coins — and,
+    for a configuration that passes those, on the C scan being loaded.
     """
     if recharge_rows.size and float(np.min(recharge_rows)) < 0:
         return None, "recharge sequence contains negative amounts"
     n = coordinator.n_sensors
 
     if type(coordinator) is MultiAggressiveCoordinator:
-        return (
+        return _admit(
             NetworkPlan(
                 n_sensors=n,
                 resp=_slot_round_robin(horizon, n),
@@ -155,15 +174,14 @@ def plan_or_reason(
                 tail=1.0,
                 slot_probs=None,
                 full_info=False,
-            ),
-            None,
+            )
         )
 
     if type(coordinator) is MultiPeriodicCoordinator:
         slots0 = np.arange(horizon, dtype=np.int64)
         probs = np.where(slots0 % coordinator.theta2 < coordinator.theta1,
                          1.0, 0.0)
-        return (
+        return _admit(
             NetworkPlan(
                 n_sensors=n,
                 resp=(slots0 // coordinator.theta2) % n,
@@ -171,8 +189,7 @@ def plan_or_reason(
                 tail=0.0,
                 slot_probs=probs,
                 full_info=False,
-            ),
-            None,
+            )
         )
 
     if type(coordinator) is RoundRobinCoordinator:
@@ -219,7 +236,7 @@ def plan_or_reason(
                 resp = _slot_round_robin(horizon, n)
             else:
                 resp = np.full(horizon, NO_SENSOR, dtype=np.int64)
-        return (
+        return _admit(
             NetworkPlan(
                 n_sensors=n,
                 resp=resp,
@@ -227,8 +244,7 @@ def plan_or_reason(
                 tail=float(tail),
                 slot_probs=slot_probs,
                 full_info=full_info,
-            ),
-            None,
+            )
         )
 
     return None, (
@@ -249,7 +265,7 @@ def simulate_network_kernel(
     horizon: int,
     initial: float,
 ) -> SimulationResult:
-    """Run the vectorized network kernel on pre-drawn arrays.
+    """Run the C network scan on pre-drawn arrays.
 
     RNG stream-order contract: the kernel never draws random numbers; it
     receives the exact arrays (events, coins, per-sensor recharge rows)
@@ -263,174 +279,37 @@ def simulate_network_kernel(
             [0.0] * n, 0, delta1, delta2, 0,
             [0] * n, aoi_from_capture_slots((), 0),
         )
+    native = require_native_scan()
+    telemetry.count("network_kernel.scan.native")
     cs = np.cumsum(recharge_rows, axis=1)
-    n_events = int(np.count_nonzero(events))
-    harvested = [float(cs[s, -1]) for s in range(n)]
-
-    native = get_native_scan()
-    if native is not None:
-        telemetry.count("network_kernel.scan.native")
-        if plan.slot_probs is not None:
-            probs, slot_mode = plan.slot_probs, True
-        else:
-            probs = plan.table if plan.table is not None else np.empty(0)
-            slot_mode = False
-        counts, state, raw_aoi = native.scan_network(
-            cs, events, coins, plan.resp, np.asarray(probs, dtype=np.float64),
-            plan.tail, slot_mode, plan.full_info,
-            capacity, delta1, delta2, initial,
-        )
-        captures = [int(counts[s, 1]) for s in range(n)]
-        aoi = AoIStats(
-            area=int(raw_aoi[0]),
-            area_sq=int(raw_aoi[1]),
-            max_age=int(raw_aoi[2]),
-            last_capture_slot=int(raw_aoi[3]),
-            n_resets=sum(captures),
-            horizon=horizon,
-        )
-        return _network_result(
-            [int(counts[s, 0]) for s in range(n)],
-            captures,
-            [int(counts[s, 2]) for s in range(n)],
-            [float(state[s, 0]) for s in range(n)],
-            [float(state[s, 1]) for s in range(n)],
-            harvested, n_events, delta1, delta2, horizon,
-            [int(counts[s, 3]) for s in range(n)], aoi,
-        )
-
-    # Pure-numpy paths.  Desire is computable up front except for
-    # non-constant partial-information recency tables.
-    desire: Optional[np.ndarray] = None
     if plan.slot_probs is not None:
-        desire = coins < plan.slot_probs
-    elif plan.full_info:
-        desire = coins < _full_info_probs(events, plan.table, plan.tail, horizon)
-    elif _constant_table_prob(plan.table, plan.tail) is not None:
-        desire = coins < plan.tail
-    if desire is not None:
-        telemetry.count("network_kernel.scan.numpy_upfront")
-        activations, captures, blocked, negs, shaves = [], [], [], [], []
-        last_captures: List[int] = []
-        slot_arrays: List[np.ndarray] = []
-        for s in range(n):
-            a, c, b, neg, shave, slots = _scan_upfront(
-                desire & (plan.resp == s), events, cs[s],
-                capacity, delta1, delta2, initial,
-            )
-            activations.append(a)
-            captures.append(c)
-            blocked.append(b)
-            negs.append(neg)
-            shaves.append(shave)
-            last_captures.append(int(slots[-1]) if slots.size else 0)
-            slot_arrays.append(slots)
-        # At most one sensor is responsible per slot, so the per-sensor
-        # capture-slot sets are disjoint; the system capture sequence is
-        # their sorted union.
-        merged = np.sort(np.concatenate(slot_arrays)) if n else np.empty(
-            0, dtype=np.int64
-        )
-        aoi = aoi_from_capture_slots(merged, horizon)
+        probs, slot_mode = plan.slot_probs, True
     else:
-        telemetry.count("network_kernel.scan.numpy_partial")
-        (
-            activations, captures, blocked, negs, shaves,
-            last_captures, capture_slots,
-        ) = _scan_partial_network(
-            events, cs, coins, plan.resp, plan.table, plan.tail, n,
-            capacity, delta1, delta2, initial,
-        )
-        aoi = aoi_from_capture_slots(capture_slots, horizon)
+        probs = plan.table if plan.table is not None else np.empty(0)
+        slot_mode = False
+    counts, state, raw_aoi = native.scan_network(
+        cs, events, coins, plan.resp, np.asarray(probs, dtype=np.float64),
+        plan.tail, slot_mode, plan.full_info,
+        capacity, delta1, delta2, initial,
+    )
+    captures = [int(counts[s, 1]) for s in range(n)]
+    aoi = AoIStats(
+        area=int(raw_aoi[0]),
+        area_sq=int(raw_aoi[1]),
+        max_age=int(raw_aoi[2]),
+        last_capture_slot=int(raw_aoi[3]),
+        n_resets=sum(captures),
+        horizon=horizon,
+    )
     return _network_result(
-        activations, captures, blocked, negs, shaves,
-        harvested, n_events, delta1, delta2, horizon,
-        last_captures, aoi,
-    )
-
-
-def _scan_partial_network(
-    events: np.ndarray,
-    cs: np.ndarray,
-    coins: np.ndarray,
-    resp: np.ndarray,
-    table: Optional[np.ndarray],
-    tail: float,
-    n_sensors: int,
-    capacity: float,
-    delta1: float,
-    delta2: float,
-    initial: float,
-) -> Tuple[
-    List[int], List[int], List[int], List[float], List[float],
-    List[int], List[int],
-]:
-    """Sparse scan for capture-coupled partial-information tables.
-
-    The shared recency (slots since the last network capture) advances
-    deterministically between candidates, so only slots with
-    ``coin < p_max`` and a responsible sensor need visiting.  Each
-    sensor's reflected battery is updated lazily: between its visits
-    ``neg`` is constant and ``cum`` non-decreasing, so the running
-    ``shave`` maximum is attained at the visited slot (the same
-    monotonicity argument as the single-sensor sparse scan).  Returns
-    per-sensor counts/state/last-capture slots plus the ascending
-    system capture-slot list (for the AoI closed forms).
-    """
-    cost_capture = delta1 + delta2
-    activation_cost = delta1 + delta2
-    table_arr = (
-        np.empty(0) if table is None else np.asarray(table, dtype=np.float64)
-    )
-    tsize = table_arr.size
-    p_max = float(max(np.max(table_arr), tail)) if tsize else tail
-
-    cand = np.nonzero((coins < p_max) & (resp >= 0))[0]
-    cand_slots: List[int] = (cand + 1).tolist()
-    resp_c: List[int] = resp[cand].tolist()
-    coin_c: List[float] = coins[cand].tolist()
-    evc: List[bool] = events[cand].tolist()
-    csc: List[List[float]] = cs[:, cand].tolist()
-    table_list: List[float] = table_arr.tolist()
-
-    neg = [initial] * n_sensors
-    shave = [0.0] * n_sensors
-    activations = [0] * n_sensors
-    captures = [0] * n_sensors
-    blocked = [0] * n_sensors
-    last_captures = [0] * n_sensors
-    capture_slots: List[int] = []
-    last_capture = 0  # slot of the implicit event before slot 1
-    for k in range(len(cand_slots)):
-        slot = cand_slots[k]
-        recency = slot - last_capture
-        prob = table_list[recency - 1] if recency <= tsize else tail
-        if not coin_c[k] < prob:
-            continue
-        s = resp_c[k]
-        pre = neg[s] + csc[s][k]
-        over = pre - capacity
-        if over > shave[s]:
-            shave[s] = over
-        if (pre - shave[s]) < activation_cost:
-            blocked[s] += 1
-            continue
-        activations[s] += 1
-        if evc[k]:
-            captures[s] += 1
-            neg[s] = neg[s] - cost_capture
-            last_capture = slot
-            last_captures[s] = slot
-            capture_slots.append(slot)
-        else:
-            neg[s] = neg[s] - delta1
-    for s in range(n_sensors):  # trailing slots: overshoot max at the end
-        over_end = (neg[s] + float(cs[s, -1])) - capacity
-        if over_end > shave[s]:
-            shave[s] = over_end
-    return (
-        activations, captures, blocked, neg, shave,
-        last_captures, capture_slots,
+        [int(counts[s, 0]) for s in range(n)],
+        captures,
+        [int(counts[s, 2]) for s in range(n)],
+        [float(state[s, 0]) for s in range(n)],
+        [float(state[s, 1]) for s in range(n)],
+        [float(cs[s, -1]) for s in range(n)],
+        int(np.count_nonzero(events)), delta1, delta2, horizon,
+        [int(counts[s, 3]) for s in range(n)], aoi,
     )
 
 

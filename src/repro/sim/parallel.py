@@ -34,8 +34,7 @@ call *completes* (success or failure), so nested or back-to-back calls
 each report their own execution and an exception can never leave a
 stale record from the previous run behind.  Read the calling context's
 most recent record with
-:func:`repro.devtools.telemetry.last_dispatch_record`; the module-level
-:func:`last_dispatch` remains as a deprecated shim.  When a telemetry
+:func:`repro.devtools.telemetry.last_dispatch_record`.  When a telemetry
 collector is active, forked workers additionally capture per-item
 counters/timers/events in isolated frames and ship the snapshots back
 with the results, so serial and parallel runs of the same workload
@@ -47,7 +46,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
@@ -93,26 +91,6 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
             f"n_jobs must be >= 1 or -1 (all cores), got {n_jobs}"
         )
     return int(n_jobs)
-
-
-def last_dispatch() -> Dict[str, Any]:
-    """Deprecated: how the most recent :func:`parallel_map` call executed.
-
-    Use :func:`repro.devtools.telemetry.last_dispatch_record` instead —
-    same record, without the deprecation warning.  Keys: ``mode``
-    (``"serial"`` — requested or single-item/no-fork platform;
-    ``"serial-auto"`` — parallel requested but the workload could not
-    amortise a fork; ``"parallel"`` — pool used), ``n_jobs``,
-    ``threshold_seconds``, ``first_item_seconds`` (None unless the auto
-    decision ran), ``items``, and ``error``.
-    """
-    warnings.warn(
-        "repro.sim.parallel.last_dispatch() is deprecated; use "
-        "repro.devtools.telemetry.last_dispatch_record() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return telemetry.last_dispatch_record()
 
 
 def parallel_map(

@@ -14,6 +14,7 @@ from repro.events import (
     UniformInterArrival,
     WeibullInterArrival,
 )
+from repro.sim import _native
 
 # Paper energy parameters, used throughout the tests.
 DELTA1 = 1.0
@@ -43,6 +44,24 @@ def pytest_collection_modifyitems(
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture(params=["native"])
+def kernel_impl(request: pytest.FixtureRequest) -> str:
+    """The fast path every bit-identity case compares with the reference.
+
+    The C scan is the only one; without a C compiler the case fails
+    here with that reason, not deep inside a ``vectorized`` call.
+    """
+    assert _native.get_native_scan() is not None, "the C scan needs gcc/cc"
+    return str(request.param)
+
+
+@pytest.fixture
+def no_native(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Make the C scan unavailable, as on a host without a C compiler."""
+    monkeypatch.setattr(_native, "_lib_tried", True)
+    monkeypatch.setattr(_native, "_lib_cache", None)
 
 
 @pytest.fixture

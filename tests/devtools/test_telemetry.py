@@ -3,7 +3,7 @@
 The contract under test, in order of importance:
 
 1. Telemetry must never change results — runs are bit-identical with a
-   collector active or not, on every backend and kernel implementation.
+   collector active or not, on every backend.
 2. Counter/timer totals are exact across process boundaries: a forked
    ``parallel_map`` reports the same totals as the serial run.
 3. Disabled-mode instrumentation costs < 2% of the bench hot path.
@@ -13,7 +13,6 @@ The contract under test, in order of importance:
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import numpy as np
@@ -29,15 +28,6 @@ from repro.events import WeibullInterArrival
 from repro.sim import parallel_map, replicate, simulate_single
 
 DELTA1, DELTA2 = 1.0, 6.0
-
-
-@pytest.fixture(params=["native", "numpy"])
-def kernel_impl(request, monkeypatch):
-    """Run each test against both kernel implementations."""
-    monkeypatch.setenv(
-        "REPRO_NATIVE_SCAN", "1" if request.param == "native" else "0"
-    )
-    return request.param
 
 
 def _run(weibull, **overrides):
@@ -90,12 +80,11 @@ class TestZeroInterference:
         q=st.floats(0.1, 1.0),
         full_info=st.booleans(),
         backend=st.sampled_from(["reference", "vectorized"]),
-        native=st.booleans(),
     )
     def test_hypothesis_sweep_bit_identical(
-        self, seed, capacity, horizon, q, full_info, backend, native
+        self, seed, capacity, horizon, q, full_info, backend
     ):
-        """Random configurations, both backends and kernel impls."""
+        """Random configurations, both backends."""
         distribution = WeibullInterArrival(20, 2)
         policy = AggressivePolicy(
             info_model=InfoModel.FULL if full_info else InfoModel.PARTIAL
@@ -111,17 +100,9 @@ class TestZeroInterference:
             seed=seed,
             backend=backend,
         )
-        previous = os.environ.get("REPRO_NATIVE_SCAN")
-        os.environ["REPRO_NATIVE_SCAN"] = "1" if native else "0"
-        try:
-            plain = simulate_single(**kwargs)
-            with telemetry.collect():
-                observed = simulate_single(**kwargs)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_NATIVE_SCAN", None)
-            else:
-                os.environ["REPRO_NATIVE_SCAN"] = previous
+        plain = simulate_single(**kwargs)
+        with telemetry.collect():
+            observed = simulate_single(**kwargs)
         assert plain == observed
 
 

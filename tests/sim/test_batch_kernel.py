@@ -2,14 +2,12 @@
 
 ``simulate_batch(specs)[i]`` must equal ``simulate_single(**specs[i])``
 bit-for-bit, and ``simulate_network_runs`` likewise against
-``simulate_network`` — across policies, info models, ragged horizons,
-mixed eligibility, and both scan implementations (forced via the
-``REPRO_NATIVE_SCAN`` environment flag).
+``simulate_network`` — across policies, info models, ragged horizons
+and mixed eligibility.  ``test_no_native.py`` covers the reference-loop
+fallback without the C scan.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -40,15 +38,6 @@ from repro.sim import (
 )
 
 DELTA1, DELTA2 = 1.0, 6.0
-
-
-@pytest.fixture(params=["native", "numpy"])
-def kernel_impl(request, monkeypatch):
-    """Run each test against both scan implementations."""
-    monkeypatch.setenv(
-        "REPRO_NATIVE_SCAN", "1" if request.param == "native" else "0"
-    )
-    return request.param
 
 
 def _single_of(spec: RunSpec, backend: str = "auto"):
@@ -308,11 +297,9 @@ class TestPropertyBased:
         tail=st.floats(0.0, 1.0),
         full_info=st.booleans(),
         q=st.floats(0.1, 1.0),
-        force_numpy=st.booleans(),
     )
     def test_random_batches_bit_identical(
-        self, seeds, horizon, ragged, capacity, p_hot, tail,
-        full_info, q, force_numpy,
+        self, seeds, horizon, ragged, capacity, p_hot, tail, full_info, q,
     ):
         policy = VectorPolicy(
             np.array([p_hot, tail / 2.0, p_hot / 3.0]),
@@ -334,13 +321,5 @@ class TestPropertyBased:
             )
             for i, seed in enumerate(seeds)
         ]
-        previous = os.environ.get("REPRO_NATIVE_SCAN")
-        os.environ["REPRO_NATIVE_SCAN"] = "0" if force_numpy else "1"
-        try:
-            batch = simulate_batch(specs)
-        finally:
-            if previous is None:
-                del os.environ["REPRO_NATIVE_SCAN"]
-            else:
-                os.environ["REPRO_NATIVE_SCAN"] = previous
+        batch = simulate_batch(specs)
         assert batch == [_single_of(s) for s in specs]

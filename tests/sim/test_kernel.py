@@ -2,9 +2,9 @@
 
 Every test compares full :class:`SimulationResult` objects with ``==``:
 both backends must produce exactly the same integers *and* the same
-floating-point bit patterns, per the kernel contract.  The native-scan
-and pure-numpy implementations are exercised separately via the
-``REPRO_NATIVE_SCAN`` environment flag.
+floating-point bit patterns, per the kernel contract.  The C scan is
+the only fast path; ``test_no_native.py`` covers the reference-loop
+fallback without it.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ from repro.exceptions import SimulationError
 from repro.sim import simulate_single
 
 DELTA1, DELTA2 = 1.0, 6.0
-
-
-@pytest.fixture(params=["native", "numpy"])
-def kernel_impl(request, monkeypatch):
-    """Run each test against both kernel implementations."""
-    monkeypatch.setenv(
-        "REPRO_NATIVE_SCAN", "1" if request.param == "native" else "0"
-    )
-    return request.param
 
 
 def _policies(weibull):

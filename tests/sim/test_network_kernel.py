@@ -3,8 +3,8 @@
 Every test compares full :class:`SimulationResult` objects with ``==``:
 both backends must produce exactly the same integers *and* the same
 floating-point bit patterns for every sensor, per the kernel contract.
-The native-scan and pure-numpy implementations are exercised separately
-via the ``REPRO_NATIVE_SCAN`` environment flag.
+The C scan is the only fast path; ``test_no_native.py`` covers the
+reference-loop fallback without it.
 """
 
 from __future__ import annotations
@@ -30,18 +30,9 @@ from repro.core.policy import InfoModel, VectorPolicy
 from repro.energy import BernoulliRecharge, ConstantRecharge
 from repro.energy.recharge import RechargeProcess
 from repro.exceptions import SimulationError
-from repro.sim import simulate_network
+from repro.sim import _native, simulate_network
 
 DELTA1, DELTA2 = 1.0, 6.0
-
-
-@pytest.fixture(params=["native", "numpy"])
-def kernel_impl(request, monkeypatch):
-    """Run each test against both kernel implementations."""
-    monkeypatch.setenv(
-        "REPRO_NATIVE_SCAN", "1" if request.param == "native" else "0"
-    )
-    return request.param
 
 
 def _coordinators(weibull):
@@ -290,10 +281,12 @@ class TestDispatch:
             )
 
     def test_dispatch_is_native_independent(self, weibull, monkeypatch):
-        """Eligibility must not depend on whether the C scan compiled."""
+        """A structural rejection does not depend on the C scan loading."""
         coordinator = _EveryOtherCoordinator(2)
-        for flag in ("1", "0"):
-            monkeypatch.setenv("REPRO_NATIVE_SCAN", flag)
+        for loaded in (True, False):
+            if not loaded:
+                monkeypatch.setattr(_native, "_lib_tried", True)
+                monkeypatch.setattr(_native, "_lib_cache", None)
             with pytest.raises(SimulationError, match="unsupported"):
                 simulate_network(
                     weibull, coordinator, BernoulliRecharge(0.5, 1.0),

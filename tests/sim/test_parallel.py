@@ -17,7 +17,6 @@ from repro.sim import (
     spawn_seeds,
 )
 from repro.sim import parallel as parallel_mod
-from repro.sim.parallel import last_dispatch
 from repro.devtools import telemetry
 from repro.core import MultiAggressiveCoordinator
 
@@ -136,14 +135,6 @@ class TestAutoSerialDispatch:
         record = telemetry.last_dispatch_record()
         assert record["error"] is True
         assert record["items"] == 2
-
-    def test_last_dispatch_shim_warns_and_matches(self):
-        """The deprecated module-level accessor still returns the record."""
-        parallel_map(lambda x: x, [1, 2, 3])
-        with pytest.warns(DeprecationWarning, match="last_dispatch"):
-            record = last_dispatch()
-        assert record == telemetry.last_dispatch_record()
-        assert record["mode"] == "serial"
 
 
 class TestParallelMap:
