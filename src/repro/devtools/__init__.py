@@ -1,13 +1,20 @@
 """Developer tooling for the :mod:`repro` reproduction.
 
-The centrepiece is ``repro lint`` (also ``python -m repro.lint``): an
-AST-based static-analysis pass that enforces the reproducibility and
-numeric-safety invariants the paper reproduction depends on — seeded
-randomness threaded through :mod:`repro.sim.rng`, no float equality in
-numeric code, validated probability arrays, and an intact
-:class:`~repro.exceptions.ReproError` error channel.
+Two independent pieces live here:
 
-Public surface:
+* :mod:`~repro.devtools.telemetry` (and :mod:`~repro.devtools.bench`)
+  — the counters, spans and run manifests the simulation, solve and
+  serve layers report through;
+* ``repro lint`` (also ``python -m repro.lint``) — an AST-based
+  static-analysis pass that enforces the reproducibility and
+  numeric-safety invariants the paper reproduction depends on: seeded
+  randomness threaded through :mod:`repro.sim.rng`, no float equality
+  in numeric code, validated probability arrays, and an intact
+  :class:`~repro.exceptions.ReproError` error channel.
+
+This package ``__init__`` imports neither, so ``from repro.devtools
+import telemetry`` loads telemetry alone.  The linter's surface lives in
+its defining modules:
 
 * :class:`~repro.devtools.rules.Finding` / :class:`~repro.devtools.rules.Rule`
   — the data model and extension point;
@@ -20,24 +27,3 @@ Public surface:
 """
 
 from __future__ import annotations
-
-from repro.devtools import checks as _checks  # noqa: F401  (registers rules)
-from repro.devtools.analysis import flow_rules as _flow  # noqa: F401
-from repro.devtools.analysis.project import ProjectModel
-from repro.devtools.cli import main
-from repro.devtools.config import LintConfig, load_config
-from repro.devtools.rules import Finding, Rule, all_rules, get_rule
-from repro.devtools.runner import lint_paths, lint_source
-
-__all__ = [
-    "Finding",
-    "LintConfig",
-    "ProjectModel",
-    "Rule",
-    "all_rules",
-    "get_rule",
-    "lint_paths",
-    "lint_source",
-    "load_config",
-    "main",
-]

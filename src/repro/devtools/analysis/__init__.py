@@ -1,20 +1,13 @@
-"""Whole-project static analysis for the flow-sensitive lint rules.
+"""Whole-project analysis for the project-wide lint rules.
 
 Subpackage layout:
 
-* :mod:`~repro.devtools.analysis.cfg` — statement-level control-flow
-  graphs for function and module bodies;
 * :mod:`~repro.devtools.analysis.project` — the import/symbol graph,
   function index and worker-reachability model built from one parse of
   the whole tree;
-* :mod:`~repro.devtools.analysis.taint` — the reaching-definitions RNG
-  provenance engine and interprocedural return summaries;
-* :mod:`~repro.devtools.analysis.flow_rules` — rules RL011–RL015 on
+* :mod:`~repro.devtools.analysis.flow_rules` — rules RL013 and RL015 on
   top of the model;
-* :mod:`~repro.devtools.analysis.cache` — content-hash incremental
-  findings cache;
-* :mod:`~repro.devtools.analysis.sarif` — SARIF 2.1.0 emission;
-* :mod:`~repro.devtools.analysis.baseline` — known-findings baselines.
+* :mod:`~repro.devtools.analysis.sarif` — SARIF 2.1.0 emission.
 """
 
 from __future__ import annotations

@@ -1,24 +1,14 @@
-"""Flow-sensitive lint rules RL011–RL015.
+"""Whole-project lint rules RL013 and RL015.
 
 These rules run on the whole-tree :class:`ProjectModel` (they set
-``requires_project``), combining the taint engine, the call graph and
-the symbol graph:
+``requires_project``) because their evidence spans modules:
 
-* **RL011** — RNG provenance: every generator that is *used* (drawn
-  from, passed on, stored, returned) must originate from ``make_rng`` /
-  ``spawn_seeds`` / ``SeedSequence.spawn`` through assignments, returns
-  and call arguments.  Flow-sensitive: re-binding a name to a trusted
-  generator clears it from that point on.
-* **RL012** — generators crossing the fork boundary: a generator
-  captured by a worker closure handed to ``parallel_map``, or passed as
-  its items, silently forks the *same* stream into every worker.  Seeds
-  (``spawn_seeds`` results) cross safely and do not fire.
 * **RL013** — module-level state written from worker-executed code:
   fork workers mutate a copy-on-write snapshot, so the parent never
-  sees the write (the ``_last_dispatch`` bug class).
-* **RL014** — export drift: ``__all__`` names that resolve to nothing,
-  and imports of project symbols the source module neither defines nor
-  re-exports.
+  sees the write (the ``_last_dispatch`` bug class).  Workers are the
+  callables handed to ``parallel_map`` — top-level functions, closures
+  defined next to the call, and everything either reaches through the
+  call graph.
 * **RL015** — kernel eligibility drift: a policy/coordinator attribute
   read inside a kernel scan path that no eligibility gate
   (``ineligibility_reason`` / ``plan_or_reason``) ever checks means the
@@ -28,9 +18,8 @@ the symbol graph:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.devtools.analysis import taint as taint_mod
 from repro.devtools.analysis.project import (
     FunctionInfo,
     ModuleInfo,
@@ -47,120 +36,6 @@ def _module_info(
     module: ModuleContext, project: ProjectModel
 ) -> Optional[ModuleInfo]:
     return project.modules_by_path.get(module.display_path)
-
-
-@register
-class RngProvenanceRule(Rule):
-    """RL011: generators must come from the seeding discipline."""
-
-    code = "RL011"
-    name = "rng-provenance"
-    description = (
-        "generator values must originate from make_rng/spawn_seeds/"
-        "SeedSequence.spawn (flow-sensitive, cross-module)"
-    )
-    requires_project = True
-
-    def check_project(
-        self, module: ModuleContext, project: ProjectModel
-    ) -> Iterator[Finding]:
-        info = _module_info(module, project)
-        if info is None:
-            return
-        analyses = [project.module_taint(info)]
-        analyses.extend(project.taint_of(fn) for fn in info.functions.values())
-        for result in analyses:
-            for use in result.uses:
-                origin = use.taint.desc or "an unknown constructor"
-                where = (
-                    f" (created line {use.taint.line})"
-                    if use.taint.line else ""
-                )
-                yield self.finding(
-                    module,
-                    use.node,
-                    f"generator from {origin}{where} {use.how}; derive "
-                    "generators from make_rng()/spawn_seeds() so streams "
-                    "are reproducible",
-                )
-
-
-@register
-class ParallelBoundaryRule(Rule):
-    """RL012: no live generator may cross the fork boundary."""
-
-    code = "RL012"
-    name = "rng-across-fork"
-    description = (
-        "generators captured by parallel_map workers or passed as its "
-        "items duplicate streams across forked processes"
-    )
-    requires_project = True
-
-    def check_project(
-        self, module: ModuleContext, project: ProjectModel
-    ) -> Iterator[Finding]:
-        info = _module_info(module, project)
-        if info is None:
-            return
-        scopes: List["taint_mod.FunctionTaint"] = [project.module_taint(info)]
-        scopes.extend(project.taint_of(fn) for fn in info.functions.values())
-        for result in scopes:
-            yield from self._check_scope(module, project, info, result)
-
-    def _check_scope(
-        self,
-        module: ModuleContext,
-        project: ProjectModel,
-        info: ModuleInfo,
-        result: "taint_mod.FunctionTaint",
-    ) -> Iterator[Finding]:
-        for call, env in result.calls:
-            if not project.is_parallel_entry(project.resolve_call(info, call)):
-                continue
-            if not call.args:
-                continue
-            yield from self._check_worker(
-                module, info, result, call.args[0], env
-            )
-            for arg in call.args[1:]:
-                taint = taint_mod.evaluate_expression(arg, env, info, project)
-                if taint.is_generator:
-                    yield self.finding(
-                        module,
-                        arg,
-                        f"generator value from {taint.desc or 'unknown'} "
-                        "passed into parallel_map crosses the fork "
-                        "boundary; pass seeds (spawn_seeds) and build "
-                        "generators inside the worker with make_rng",
-                    )
-
-    def _check_worker(
-        self,
-        module: ModuleContext,
-        info: ModuleInfo,
-        result: "taint_mod.FunctionTaint",
-        fn_arg: ast.AST,
-        env: Dict[str, "taint_mod.Taint"],
-    ) -> Iterator[Finding]:
-        worker: Optional[ast.AST] = None
-        if isinstance(fn_arg, ast.Lambda):
-            worker = fn_arg
-        elif isinstance(fn_arg, ast.Name):
-            worker = result.nested_defs.get(fn_arg.id)
-        if worker is None:
-            return
-        for name in sorted(taint_mod.free_variables(worker)):
-            taint = env.get(name)
-            if taint is not None and taint.is_generator:
-                yield self.finding(
-                    module,
-                    fn_arg,
-                    f"worker closure captures generator {name!r} (from "
-                    f"{taint.desc or 'unknown'}); every forked worker "
-                    "would draw the same stream — capture seeds and call "
-                    "make_rng inside the worker instead",
-                )
 
 
 @register
@@ -208,88 +83,51 @@ class WorkerStateWriteRule(Rule):
     def _check_closures(
         self, module: ModuleContext, project: ProjectModel, info: ModuleInfo
     ) -> Iterator[Finding]:
-        scopes: List["taint_mod.FunctionTaint"] = [project.module_taint(info)]
-        scopes.extend(project.taint_of(fn) for fn in info.functions.values())
-        for result in scopes:
-            for call, _env in result.calls:
-                if not call.args:
+        scopes: List[Sequence[ast.stmt]] = [module.tree.body]
+        scopes.extend(fn.node.body for fn in info.functions.values())
+        for body in scopes:
+            nodes = list(_scope_nodes(body))
+            nested = {
+                node.name: node for node in nodes
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            for call in nodes:
+                if not isinstance(call, ast.Call) or not call.args:
                     continue
-                if not project.is_parallel_entry(
+                fn_arg = call.args[0]
+                if not isinstance(fn_arg, ast.Name):
+                    continue
+                worker = nested.get(fn_arg.id)
+                if worker is None or not project.is_parallel_entry(
                     project.resolve_call(info, call)
                 ):
                     continue
-                fn_arg = call.args[0]
-                worker: Optional[ast.AST] = None
-                worker_name = "<lambda>"
-                if isinstance(fn_arg, ast.Lambda):
-                    worker = fn_arg
-                elif isinstance(fn_arg, ast.Name):
-                    worker = result.nested_defs.get(fn_arg.id)
-                    worker_name = fn_arg.id
-                if worker is None or isinstance(worker, ast.Lambda):
-                    continue
-                facts = project.closure_facts(info, worker, worker_name)
+                facts = project.closure_facts(info, worker, fn_arg.id)
                 for state_name, node, kind in facts.state_writes:
                     yield self.finding(
                         module,
                         node,
                         f"{kind} to module-level state {state_name!r} in "
-                        f"worker closure {worker_name!r}; forked workers "
+                        f"worker closure {fn_arg.id!r}; forked workers "
                         "mutate a copy, so the parent never observes the "
                         "write — return the value instead",
                     )
 
 
-@register
-class ExportDriftRule(Rule):
-    """RL014: ``__all__`` and cross-module imports must resolve."""
+def _scope_nodes(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
+    """Every node of one scope, not descending into nested scopes.
 
-    code = "RL014"
-    name = "export-drift"
-    description = (
-        "__all__ names and project-internal imports must resolve to a "
-        "definition or re-export"
-    )
-    requires_project = True
-
-    def check_project(
-        self, module: ModuleContext, project: ProjectModel
-    ) -> Iterator[Finding]:
-        info = _module_info(module, project)
-        if info is None:
-            return
-        if info.dunder_all is not None:
-            for symbol, node in info.dunder_all:
-                if project.resolve_export(info.name, symbol) is None:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"__all__ lists {symbol!r} but {info.name} neither "
-                        "defines nor imports it (export drift)",
-                    )
-        package = info.name.rsplit(".", 1)[0] if "." in info.name else ""
-        if info.path.replace("\\", "/").endswith("__init__.py"):
-            package = info.name
-        for node in module.walk():
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            from repro.devtools.analysis.project import _import_base
-
-            base = _import_base(node, package)
-            if base is None or base not in project.modules_by_name:
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                if f"{base}.{alias.name}" in project.modules_by_name:
-                    continue  # importing a submodule, always fine
-                if project.resolve_export(base, alias.name) is None:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"imports {alias.name!r} from {base}, which neither "
-                        "defines nor re-exports it (export drift)",
-                    )
+    Function, class and lambda nodes are yielded themselves (so nested
+    worker definitions can be looked up by name) but their bodies
+    belong to their own scope.
+    """
+    stack: List[ast.AST] = list(reversed(body))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+            stack.extend(reversed(list(ast.iter_child_nodes(node))))
 
 
 @register
@@ -407,12 +245,3 @@ def _rooted_source(
     if not direct and isinstance(node, ast.Attribute):
         return _rooted_source(node.value, rooted)
     return None
-
-
-ALL_FLOW_RULES = (
-    RngProvenanceRule,
-    ParallelBoundaryRule,
-    WorkerStateWriteRule,
-    ExportDriftRule,
-    KernelEligibilityDriftRule,
-)

@@ -1,26 +1,19 @@
-"""Whole-tree project model for the flow-sensitive lint rules.
+"""Whole-tree project model for the project-wide lint rules.
 
-The per-file rules (RL001–RL010) see one module at a time.  The flow
-rules (RL011–RL015) need to follow values across call sites and module
-boundaries, so the runner parses every collected file once and hands
-each rule a :class:`ProjectModel`:
+The per-file rules (RL001–RL010) see one module at a time.  RL013 and
+RL015 need facts that span modules, so the runner parses every
+collected file once and hands each rule a :class:`ProjectModel`:
 
-* an **import/symbol graph** — every module's top-level bindings, its
-  ``__all__``, and import bindings resolved through project-internal
-  re-export chains (``from repro.sim.rng import make_rng`` inside
-  ``repro.sim.__init__`` resolves back to the defining module);
+* an **import/symbol graph** — every module's top-level bindings and
+  import bindings resolved through project-internal re-export chains
+  (``from repro.sim.rng import make_rng`` inside ``repro.sim.__init__``
+  resolves back to the defining module);
 * a **function index** with per-function facts: resolved direct call
-  targets (the call graph), module-level-state writes, and nested
-  worker callables;
-* **RNG provenance summaries** — for every project function, whether it
-  returns a generator/seed value and where that value came from,
-  computed by running the taint engine to a fixpoint so wrapper chains
-  (``def fresh(): return _make()``) resolve transitively;
+  targets (the call graph) and module-level-state writes;
 * the **worker-reachable set** — every function transitively callable
   from a callable handed to ``parallel_map``, used by RL013.
 
-The model is rebuilt whenever any file changes (its digest keys the
-findings cache); individual analyses are memoised on the instance.
+The worker-reachable set is memoised on the instance.
 """
 
 from __future__ import annotations
@@ -93,8 +86,6 @@ class ModuleInfo:
     import_bindings: Dict[str, str] = field(default_factory=dict)
     #: Modules star-imported at top level.
     star_imports: List[str] = field(default_factory=list)
-    #: ``__all__`` entries with their anchoring nodes (None: no __all__).
-    dunder_all: Optional[List[Tuple[str, ast.AST]]] = None
     #: Functions keyed by local qualname ("f" or "Class.f").
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
 
@@ -165,34 +156,8 @@ def _import_base(node: ast.ImportFrom, module_package: str) -> Optional[str]:
     return ".".join(base_parts) if base_parts else node.module
 
 
-def _extract_dunder_all(
-    tree: ast.Module,
-) -> Optional[List[Tuple[str, ast.AST]]]:
-    entries: Optional[List[Tuple[str, ast.AST]]] = None
-    for node in tree.body:
-        if not isinstance(node, (ast.Assign, ast.AugAssign)):
-            continue
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
-        )
-        if not any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in targets
-        ):
-            continue
-        value = node.value
-        if entries is None:
-            entries = []
-        if isinstance(value, (ast.List, ast.Tuple)):
-            for elt in value.elts:
-                if isinstance(elt, ast.Constant) and isinstance(
-                    elt.value, str
-                ):
-                    entries.append((elt.value, elt))
-    return entries
-
-
 class ProjectModel:
-    """Cross-module analysis context shared by the flow rules."""
+    """Cross-module analysis context shared by the project rules."""
 
     def __init__(
         self,
@@ -206,8 +171,6 @@ class ProjectModel:
             info = self._index_module(context)
             self.modules_by_path[context.display_path] = info
             self.modules_by_name[info.name] = info
-        self._summaries: Optional[Dict[str, object]] = None
-        self._taints: Dict[int, object] = {}
         self._workers: Optional[Dict[str, str]] = None
 
     # -- module indexing -------------------------------------------------
@@ -219,7 +182,6 @@ class ProjectModel:
         if context.path.replace("\\", "/").endswith("__init__.py"):
             package = name
         _collect_top_bindings(context.tree.body, info, package)
-        info.dunder_all = _extract_dunder_all(context.tree)
         for node in context.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._index_function(info, node, node.name)
@@ -328,7 +290,7 @@ class ProjectModel:
 
         Returns the defining ``module.symbol`` dotted name, the original
         dotted name for external modules, or None when the symbol cannot
-        be found in a project-internal module (export drift).
+        be found in a project-internal module.
         """
         info = self.modules_by_name.get(module_name)
         if info is None:
@@ -405,36 +367,6 @@ class ProjectModel:
         if info is not None:
             return info.functions.get(f"{cls}.{local}")
         return None
-
-    # -- RNG provenance summaries ----------------------------------------
-
-    def summaries(self) -> Dict[str, object]:
-        """Fixpoint map: function qualname -> returned-value Taint."""
-        if self._summaries is None:
-            from repro.devtools.analysis import taint as taint_mod
-
-            self._summaries = taint_mod.compute_summaries(self)
-        return self._summaries
-
-    def taint_of(self, fn: FunctionInfo) -> object:
-        """The cached :class:`FunctionTaint` for one project function."""
-        from repro.devtools.analysis import taint as taint_mod
-
-        key = id(fn.node)
-        if key not in self._taints:
-            self._taints[key] = taint_mod.analyze_function(
-                fn.node, fn.module, self
-            )
-        return self._taints[key]
-
-    def module_taint(self, info: ModuleInfo) -> object:
-        """Taint analysis of a module's top-level body."""
-        from repro.devtools.analysis import taint as taint_mod
-
-        key = id(info.context.tree)
-        if key not in self._taints:
-            self._taints[key] = taint_mod.analyze_module(info, self)
-        return self._taints[key]
 
     # -- parallel-worker reachability (RL013) ----------------------------
 

@@ -33,6 +33,14 @@ _LEGACY_NP_RANDOM = frozenset({
     "weibull", "zipf",
 })
 
+#: ``numpy.random`` generator, legacy-state and bit-generator classes.
+#: Building any of these directly bypasses the seeding discipline just
+#: like ``default_rng`` does, so only the RNG module(s) may call them.
+_NP_RANDOM_CONSTRUCTORS = frozenset({
+    "default_rng", "Generator", "RandomState", "PCG64", "PCG64DXSM",
+    "MT19937", "Philox", "SFC64",
+})
+
 #: Parameter names that satisfy RL001's "stochastic functions must let the
 #: caller control the stream" requirement.
 _SEED_PARAM_NAMES = frozenset({
@@ -56,7 +64,8 @@ class UnseededRandomRule(Rule):
     """RL001 — all randomness flows through :mod:`repro.sim.rng`.
 
     Flags stdlib ``random`` usage, legacy ``numpy.random.<dist>`` calls,
-    and ``numpy.random.default_rng`` calls outside the designated RNG
+    and direct generator construction (``default_rng``, ``Generator``,
+    ``RandomState`` and the bit generators) outside the designated RNG
     module(s); additionally, public functions that construct generators
     must accept a ``seed``/``rng`` parameter so callers control the
     stream.
@@ -101,19 +110,6 @@ class UnseededRandomRule(Rule):
         qual = module.imports.qualname(node.func)
         if qual is None:
             return
-        if qual == "numpy.random.default_rng":
-            if not in_rng_module:
-                detail = (
-                    "unseeded numpy.random.default_rng()" if not node.args
-                    and not node.keywords else "numpy.random.default_rng(...)"
-                )
-                yield self.finding(
-                    module, node,
-                    f"{detail} outside the RNG module; call "
-                    "repro.sim.rng.make_rng(seed) so streams stay "
-                    "reproducible",
-                )
-            return
         if qual.startswith("random."):
             yield self.finding(
                 module, node,
@@ -122,7 +118,21 @@ class UnseededRandomRule(Rule):
             )
             return
         prefix, _, attr = qual.rpartition(".")
-        if prefix == "numpy.random" and attr in _LEGACY_NP_RANDOM:
+        if prefix != "numpy.random":
+            return
+        if attr in _NP_RANDOM_CONSTRUCTORS:
+            if not in_rng_module:
+                detail = (
+                    f"unseeded {qual}()" if not node.args
+                    and not node.keywords else f"{qual}(...)"
+                )
+                yield self.finding(
+                    module, node,
+                    f"{detail} outside the RNG module; call "
+                    "repro.sim.rng.make_rng(seed) so streams stay "
+                    "reproducible",
+                )
+        elif attr in _LEGACY_NP_RANDOM:
             yield self.finding(
                 module, node,
                 f"legacy numpy.random.{attr}() draws from the hidden "

@@ -28,9 +28,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "AST- and dataflow-based reproducibility linter for the "
-            "repro codebase (per-file rules RL001+ and flow-sensitive "
-            "rules RL011+)."
+            "AST-based reproducibility linter for the repro codebase "
+            "(per-file rules RL001-RL010 and project-wide rules RL013 "
+            "and RL015)."
         ),
     )
     parser.add_argument(
@@ -59,34 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore pyproject.toml and use built-in defaults",
     )
     parser.add_argument(
-        "--jobs", type=int, metavar="N", default=None,
-        help=(
-            "lint per-file rules across N worker processes "
-            "(-1: all cores; default: serial); output is byte-identical "
-            "to a serial run"
-        ),
-    )
-    parser.add_argument(
-        "--cache", metavar="FILE", default=None,
-        help=(
-            "incremental findings cache file; unchanged trees replay "
-            "the previous run without re-parsing"
-        ),
-    )
-    parser.add_argument(
         "--sarif", metavar="FILE", default=None,
         help="additionally write findings as SARIF 2.1.0 to FILE",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help=(
-            "subtract the findings recorded in FILE; only new findings "
-            "are reported and affect the exit code"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="snapshot the current findings to FILE and exit 0",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -130,25 +104,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     try:
         config = _resolve_config(args)
-        findings = lint_paths(
-            args.paths, config, n_jobs=args.jobs, cache_path=args.cache
-        )
-        if args.write_baseline is not None:
-            from repro.devtools.analysis.baseline import write_baseline
-
-            write_baseline(findings, args.write_baseline)
-            print(
-                f"repro lint: wrote baseline with {len(findings)} "
-                f"finding(s) to {args.write_baseline}"
-            )
-            return 0
-        if args.baseline is not None:
-            from repro.devtools.analysis.baseline import (
-                filter_new,
-                load_baseline,
-            )
-
-            findings = filter_new(findings, load_baseline(args.baseline))
+        findings = lint_paths(args.paths, config)
     except LintError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

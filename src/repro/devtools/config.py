@@ -78,21 +78,6 @@ class LintConfig:
             else DEFAULT_KERNEL_GATES
         )
 
-    def fingerprint(self) -> str:
-        """Stable digest of everything that can change lint results.
-
-        Used by the incremental findings cache: a cache written under
-        one configuration (or rule registry) is never replayed under
-        another.
-        """
-        import hashlib
-
-        payload = repr((
-            self.select, self.ignore, self.exclude, self.rng_modules,
-            self.kernel_modules, self.kernel_gates, rule_codes(),
-        ))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
     @staticmethod
     def _codes(
         raw: Optional[Iterable[str]], known: Tuple[str, ...]

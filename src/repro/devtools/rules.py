@@ -6,7 +6,10 @@ parsed module (a :class:`~repro.devtools.context.ModuleContext`) and
 yields :class:`Finding` records.  Rules register themselves with the
 module-level registry via the :func:`register` decorator, which is what
 ``--list-rules``, ``select``/``ignore`` config handling, and the test
-suite iterate over.
+suite iterate over.  The built-in rules (:mod:`repro.devtools.checks`
+and :mod:`repro.devtools.analysis.flow_rules`) are imported on the
+first registry read, so importing :mod:`repro.devtools` (for example
+for telemetry) loads none of the linter.
 """
 
 from __future__ import annotations
@@ -64,11 +67,10 @@ class Rule:
     name: str = ""
     #: One-line description shown by ``--list-rules``.
     description: str = ""
-    #: Flow-sensitive rules set this to True and override
+    #: Project-wide rules set this to True and override
     #: :meth:`check_project`; the runner then hands them the whole-tree
-    #: :class:`~repro.devtools.analysis.project.ProjectModel` so taint
-    #: and reachability can cross module boundaries.  Their findings are
-    #: cached per *project* digest, not per file.
+    #: :class:`~repro.devtools.analysis.project.ProjectModel` so call
+    #: graphs and gate checks can cross module boundaries.
     requires_project: bool = False
 
     def check(self, module: "ModuleContext") -> Iterator[Finding]:
@@ -125,21 +127,31 @@ def register(cls: Type[Rule]) -> Type[Rule]:
     return cls
 
 
+def _registry() -> Dict[str, Type[Rule]]:
+    """The registry, with the built-in rule modules imported."""
+    from repro.devtools import checks  # noqa: F401  (registers rules)
+    from repro.devtools.analysis import flow_rules  # noqa: F401
+
+    return _REGISTRY
+
+
 def all_rules() -> List[Rule]:
     """Instantiate every registered rule, sorted by code."""
-    return [_REGISTRY[code]() for code in sorted(_REGISTRY)]
+    registry = _registry()
+    return [registry[code]() for code in sorted(registry)]
 
 
 def rule_codes() -> Tuple[str, ...]:
     """Return the sorted tuple of registered rule codes."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_registry()))
 
 
 def get_rule(code: str) -> Rule:
     """Look up one rule by code; raises :class:`LintError` if unknown."""
+    registry = _registry()
     try:
-        return _REGISTRY[code]()
+        return registry[code]()
     except KeyError:
         raise LintError(
-            f"unknown rule code {code!r}; known: {', '.join(sorted(_REGISTRY))}"
+            f"unknown rule code {code!r}; known: {', '.join(sorted(registry))}"
         ) from None

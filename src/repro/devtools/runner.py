@@ -5,34 +5,21 @@ return plain :class:`~repro.devtools.rules.Finding` lists) so the test
 suite can lint fixture snippets without touching the filesystem, and the
 CLI layer stays a thin argument-parsing shell.
 
-Two rule families run over the collected files:
+Two rule families run over the collected files, both in-process:
 
-* **local rules** (``requires_project`` False) see one module at a time
-  and parallelise per file under ``--jobs`` via
-  :func:`repro.sim.parallel.parallel_map` (imported lazily — the sim
-  package must not become an import-time dependency of the linter);
-* **flow rules** (``requires_project`` True) run in-process against the
+* **local rules** (``requires_project`` False) see one module at a time;
+* **project rules** (``requires_project`` True) run against the
   whole-tree :class:`~repro.devtools.analysis.project.ProjectModel`.
 
-With a cache file attached, a run whose project digest matches the
-previous one replays findings without parsing anything; otherwise
-unchanged files replay their local findings and only flow analysis (and
-changed files) recompute.  Output ordering is always
-``(path, line, col, code)`` regardless of job count or cache state, so
-serial, parallel and cached runs are byte-identical.
+Output ordering is always ``(path, line, col, code)``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.devtools.analysis.cache import (
-    FindingsCache,
-    file_digest,
-    project_digest,
-)
 from repro.devtools.analysis.project import ProjectModel
 from repro.devtools.config import LintConfig
 from repro.devtools.context import ModuleContext
@@ -44,6 +31,7 @@ __all__ = [
     "lint_paths",
     "lint_source",
 ]
+
 
 def _finding_order(finding: Finding) -> Tuple[str, int, int, str]:
     return (finding.path, finding.line, finding.col, finding.code)
@@ -95,9 +83,9 @@ def lint_source(
 ) -> List[Finding]:
     """Lint one in-memory module and return its findings.
 
-    Flow rules see a single-module project, so snippet tests exercise
-    RL011+ without touching the filesystem; cross-module behaviour needs
-    :func:`lint_paths` over a real tree.
+    Project rules see a single-module project, so snippet tests exercise
+    RL013/RL015 without touching the filesystem; cross-module behaviour
+    needs :func:`lint_paths` over a real tree.
     """
     cfg = config if config is not None else LintConfig()
     module = ModuleContext(
@@ -128,129 +116,29 @@ def collect_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
     return sorted(seen.values())
 
 
-def _parallel_local_findings(
-    items: Sequence[Tuple[str, str]],
-    cfg: LintConfig,
-    rules: Sequence[Rule],
-    n_jobs: int,
-    min_fork_seconds: Optional[float],
-) -> List[List[Finding]]:
-    """Per-file local findings computed across worker processes.
-
-    ``parallel_map`` is imported lazily: the sim package imports
-    devtools telemetry, so a module-level import here would create an
-    import cycle — and serial linting must not require sim at all.
-    """
-    from repro.sim.parallel import parallel_map
-
-    def _lint_one(item: Tuple[str, str]) -> List[Finding]:
-        display, source = item
-        module = ModuleContext(
-            source,
-            path=display,
-            display_path=display,
-            rng_modules=cfg.rng_modules,
-        )
-        return _run_local_rules(module, rules)
-
-    return parallel_map(
-        _lint_one, items, n_jobs=n_jobs, min_fork_seconds=min_fork_seconds
-    )
-
-
 def lint_paths(
     paths: Iterable[Union[str, Path]],
     config: Optional[LintConfig] = None,
-    n_jobs: Optional[int] = None,
-    cache_path: Optional[Union[str, Path]] = None,
-    min_fork_seconds: Optional[float] = None,
 ) -> List[Finding]:
-    """Lint every ``.py`` file under ``paths`` and return all findings.
-
-    ``n_jobs`` parallelises the per-file local rules (``None``/1 =
-    serial); ``cache_path`` attaches the incremental findings cache;
-    ``min_fork_seconds`` tunes the auto-serial threshold of the worker
-    pool (tests force 0.0 to exercise real forking).
-    """
+    """Lint every ``.py`` file under ``paths`` and return all findings."""
     cfg = config if config is not None else LintConfig()
-
-    sources: Dict[str, str] = {}
-    digests: Dict[str, str] = {}
-    for path in collect_files(paths):
-        display = path.as_posix()
-        if cfg.is_excluded(display):
-            continue
-        data = path.read_bytes()
-        sources[display] = data.decode("utf-8")
-        digests[display] = file_digest(data)
-
-    fingerprint = cfg.fingerprint()
-    tree_digest = project_digest(sorted(digests.items()))
-    cache: Optional[FindingsCache] = None
-    if cache_path is not None:
-        cache = FindingsCache(cache_path)
-        if cache.load(fingerprint) and cache.matches_project(tree_digest):
-            return cache.all_findings()
-
-    local_rules, flow_rules = _split_rules(cfg)
-
-    # Local findings: replay unchanged files from the cache, lint the
-    # rest (optionally across workers).
-    per_file: Dict[str, Tuple[str, List[Finding]]] = {}
-    to_lint: List[Tuple[str, str]] = []
-    for display in sorted(sources):
-        cached = (
-            cache.local_findings(display, digests[display])
-            if cache is not None else None
+    modules = [
+        ModuleContext(
+            path.read_text(encoding="utf-8"),
+            path=path.as_posix(),
+            display_path=path.as_posix(),
+            rng_modules=cfg.rng_modules,
         )
-        if cached is not None:
-            per_file[display] = (digests[display], cached)
-        else:
-            to_lint.append((display, sources[display]))
-    if to_lint:
-        if n_jobs is not None and n_jobs != 1 and len(to_lint) > 1:
-            results = _parallel_local_findings(
-                to_lint, cfg, local_rules, n_jobs, min_fork_seconds
-            )
-        else:
-            results = [
-                _run_local_rules(
-                    ModuleContext(
-                        source,
-                        path=display,
-                        display_path=display,
-                        rng_modules=cfg.rng_modules,
-                    ),
-                    local_rules,
-                )
-                for display, source in to_lint
-            ]
-        for (display, _source), found in zip(to_lint, results):
-            per_file[display] = (digests[display], list(found))
-
-    # Flow findings always see the whole tree, parsed in-process.
-    flow_findings: List[Finding] = []
-    if flow_rules:
-        modules = [
-            ModuleContext(
-                sources[display],
-                path=display,
-                display_path=display,
-                rng_modules=cfg.rng_modules,
-            )
-            for display in sorted(sources)
-        ]
-        project = ProjectModel(modules, cfg)
-        flow_findings = _run_flow_rules(modules, project, flow_rules)
-
-    if cache is not None:
-        cache.store(fingerprint, tree_digest, per_file, flow_findings)
-
-    findings: List[Finding] = [
-        finding for _display, (_sha, found) in sorted(per_file.items())
-        for finding in found
+        for path in collect_files(paths)
+        if not cfg.is_excluded(path.as_posix())
     ]
-    findings.extend(flow_findings)
+    local_rules, flow_rules = _split_rules(cfg)
+    findings: List[Finding] = []
+    for module in modules:
+        findings.extend(_run_local_rules(module, local_rules))
+    if flow_rules:
+        project = ProjectModel(modules, cfg)
+        findings.extend(_run_flow_rules(modules, project, flow_rules))
     findings.sort(key=_finding_order)
     return findings
 

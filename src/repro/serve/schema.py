@@ -93,7 +93,7 @@ _CACHE_DESCRIPTOR = {
     "properties": {
         "tier": {
             "type": "string",
-            "enum": ["memory", "disk", "shared", "computed", "coalesced"],
+            "enum": ["memory", "disk", "computed", "coalesced"],
         },
         "hit": {"type": "boolean"},
     },

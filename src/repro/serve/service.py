@@ -9,7 +9,7 @@ Three mechanisms make the service cache-first (DESIGN.md §15):
 
 1.  **Tiered policy store.**  Solved policies live in a
     :class:`~repro.store.TieredStore` (byte-budgeted memory LRU →
-    atomic on-disk JSON blobs → optional shared backend) keyed on the
+    atomic on-disk JSON blobs) keyed on the
     canonical solve key — (distribution fingerprint, family,
     energy/cost parameters, solver params) — so a warm ``/solve`` is a
     dictionary lookup instead of a DP.
@@ -66,7 +66,7 @@ from repro.sim.batch import summarize
 from repro.sim.batch_kernel import RunSpec, simulate_batch
 from repro.sim.metrics import SimulationResult
 from repro.sim.rng import spawn_seeds
-from repro.store import MemoryLRU, StoreBackend, TieredStore
+from repro.store import MemoryLRU, TieredStore
 
 __all__ = ["PolicyService"]
 
@@ -82,7 +82,7 @@ _MAX_BATCH = 256
 
 
 def _encode_payload(payload: Dict[str, Any]) -> bytes:
-    """Serialise a policy payload for the disk/shared tiers."""
+    """Serialise a policy payload for the disk tier."""
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
@@ -152,7 +152,6 @@ class PolicyService:
         store_mb: float = 32.0,
         batch_window_ms: float = 5.0,
         telemetry_dir: Optional[str] = None,
-        shared_backend: Optional[StoreBackend] = None,
     ) -> None:
         if store_mb <= 0:
             raise ServeError(f"store_mb must be > 0, got {store_mb}")
@@ -169,7 +168,6 @@ class PolicyService:
             encode=_encode_payload,
             decode=_decode_payload,
             disk_dir=cache_dir,
-            shared=shared_backend,
             counter_prefix="serve.store",
             file_prefix="policy-",
             file_suffix=".json",
@@ -265,7 +263,7 @@ class PolicyService:
 
     @staticmethod
     def _cache_descriptor(tier: str) -> Dict[str, Any]:
-        return {"tier": tier, "hit": tier in ("memory", "disk", "shared")}
+        return {"tier": tier, "hit": tier in ("memory", "disk")}
 
     def _request_fields(
         self, request: Dict[str, Any]

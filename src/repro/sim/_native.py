@@ -555,6 +555,19 @@ class NativeScan:
         #: True when the library was compiled with OpenMP, i.e. batch
         #: calls with ``parallel=True`` actually thread over runs.
         self.openmp: bool = bool(omp_fn())
+        self._pid = os.getpid()
+
+    def _team_flag(self, parallel: bool) -> ctypes.c_int32:
+        """The C ``parallel`` argument: never start a team after a fork.
+
+        GNU OpenMP's thread pool does not survive ``fork``, so an OpenMP
+        region entered in a ``parallel_map`` worker whose parent already
+        ran one deadlocks.  Forked children therefore run the serial
+        loop; threading changes scheduling only, never results.
+        """
+        return ctypes.c_int32(
+            1 if parallel and os.getpid() == self._pid else 0
+        )
 
     def scan(
         self,
@@ -668,7 +681,7 @@ class NativeScan:
             _c(delta1s, np.float64).ctypes.data_as(_F64P),
             _c(delta2s, np.float64).ctypes.data_as(_F64P),
             _c(initials, np.float64).ctypes.data_as(_F64P),
-            ctypes.c_int32(1 if parallel else 0),
+            self._team_flag(parallel),
             counts.ctypes.data_as(_I64P),
             state.ctypes.data_as(_F64P),
         )
@@ -796,7 +809,7 @@ class NativeScan:
             _c(delta1s, np.float64).ctypes.data_as(_F64P),
             _c(delta2s, np.float64).ctypes.data_as(_F64P),
             _c(initials, np.float64).ctypes.data_as(_F64P),
-            ctypes.c_int32(1 if parallel else 0),
+            self._team_flag(parallel),
             counts.ctypes.data_as(_I64P),
             state.ctypes.data_as(_F64P),
             aoi.ctypes.data_as(_I64P),

@@ -1,4 +1,4 @@
-"""Reusable tiered result store (memory LRU → disk → shared backend).
+"""Reusable tiered result store (memory LRU → disk).
 
 See :mod:`repro.store.tiered` for the architecture.  The
 partial-information analysis memo (:mod:`repro.analysis.partial_info`)
@@ -9,19 +9,15 @@ on this package.
 from __future__ import annotations
 
 from repro.store.tiered import (
-    DictBackend,
     DiskTier,
     MemoryLRU,
-    StoreBackend,
     StoreError,
     TieredStore,
 )
 
 __all__ = [
-    "DictBackend",
     "DiskTier",
     "MemoryLRU",
-    "StoreBackend",
     "StoreError",
     "TieredStore",
 ]

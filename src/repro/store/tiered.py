@@ -1,10 +1,10 @@
-"""Tiered content-addressed result store: memory LRU → disk → shared.
+"""Tiered content-addressed result store: memory LRU → disk.
 
 Promoted out of ``analysis/partial_info.py`` (PR 3 grew a byte-budgeted
 in-process memo plus an optional on-disk ``.npz`` tier there) into a
 reusable package so every cache-shaped subsystem — the partial-info
 analysis memo, the ``repro serve`` policy store — composes the same
-three tiers instead of re-implementing them:
+two tiers instead of re-implementing them:
 
 * :class:`MemoryLRU` — a byte-budgeted, thread-safe LRU over arbitrary
   Python values.  Both an entry cap and a byte cap apply; eviction is
@@ -13,13 +13,10 @@ three tiers instead of re-implementing them:
   named by the SHA-256 of their key, written atomically (``tempfile``
   in the target directory + ``os.replace``) so a reader can never
   observe a torn write, and unreadable entries degrade to a miss.
-* :class:`StoreBackend` — the pluggable *shared* tier interface (a
-  networked blob store, a database, ...).  :class:`DictBackend` is the
-  in-memory reference implementation used by tests.
 
-:class:`TieredStore` stacks them: ``get`` walks memory → disk → shared
-and *promotes* hits into every faster tier, ``put`` writes through to
-all configured tiers.  Values cross the disk/shared boundary through a
+:class:`TieredStore` stacks them: ``get`` walks memory → disk and
+*promotes* disk hits into memory, ``put`` writes through to both
+tiers.  Values cross the disk boundary through a
 caller-supplied ``encode``/``decode`` codec over ``bytes``; ``decode``
 returning ``None`` marks the blob corrupt (counted, treated as a miss)
 — the torn-/corrupt-entry fallback the analysis cache has always had.
@@ -30,28 +27,25 @@ logging, coalescing maps and on-disk names.
 
 Telemetry: with ``counter_prefix="analysis"`` a store counts
 ``analysis.memo.hit`` / ``.miss`` / ``.evict`` and ``analysis.disk.hit``
-/ ``.miss`` / ``.corrupt`` (plus ``analysis.shared.*`` when a shared
-backend is attached) — exactly the counter family PR 3/PR 5 established.
+/ ``.miss`` / ``.corrupt`` — exactly the counter family PR 3/PR 5
+established.
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import os
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 from repro.devtools import telemetry
 from repro.exceptions import ReproError
 
 __all__ = [
-    "DictBackend",
     "DiskTier",
     "MemoryLRU",
-    "StoreBackend",
     "StoreError",
     "TieredStore",
 ]
@@ -59,7 +53,6 @@ __all__ = [
 #: Tier labels reported by :meth:`TieredStore.lookup`.
 TIER_MEMORY = "memory"
 TIER_DISK = "disk"
-TIER_SHARED = "shared"
 TIER_MISS = "miss"
 
 
@@ -223,70 +216,27 @@ class DiskTier:
             return False
 
 
-class StoreBackend(abc.ABC):
-    """Pluggable shared (cross-host) tier: a blob store keyed by name.
-
-    Implementations map a content-address string to a blob; they are
-    free to be networked, persistent, or both.  Errors should be
-    swallowed or surfaced as a miss — the shared tier is an accelerator,
-    never a source of truth.
-    """
-
-    @abc.abstractmethod
-    def get(self, name: str) -> Optional[bytes]:
-        """Return the blob stored under ``name``, or ``None``."""
-
-    @abc.abstractmethod
-    def put(self, name: str, blob: bytes) -> None:
-        """Store ``blob`` under ``name`` (overwriting any previous blob)."""
-
-
-class DictBackend(StoreBackend):
-    """In-memory :class:`StoreBackend` — the reference/test implementation."""
-
-    def __init__(self) -> None:
-        self._blobs: Dict[str, bytes] = {}
-        self._lock = threading.Lock()
-
-    def get(self, name: str) -> Optional[bytes]:
-        """Return the blob stored under ``name``, or ``None``."""
-        with self._lock:
-            return self._blobs.get(name)
-
-    def put(self, name: str, blob: bytes) -> None:
-        """Store ``blob`` under ``name``."""
-        with self._lock:
-            self._blobs[name] = bytes(blob)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._blobs)
-
-
 class TieredStore:
-    """Memory LRU → disk → shared-backend store with promotion.
+    """Memory LRU → disk store with promotion.
 
     Parameters
     ----------
     memory:
         The in-process tier (always present).
     encode / decode:
-        Codec between values and ``bytes`` for the disk and shared
-        tiers.  ``decode`` must return ``None`` for blobs it cannot
-        parse — such entries count as corrupt and fall through to the
-        next tier (or a miss) instead of raising.
+        Codec between values and ``bytes`` for the disk tier.
+        ``decode`` must return ``None`` for blobs it cannot parse —
+        such entries count as corrupt and fall through to a miss
+        instead of raising.
     disk_dir:
         Directory for the disk tier: a path, a zero-argument callable
         returning a path or ``None`` (evaluated per call, so callers
         can key it on an environment variable), or ``None`` to disable.
-    shared:
-        Optional :class:`StoreBackend` third tier.
     counter_prefix:
         When set, tier traffic is counted through
         :mod:`repro.devtools.telemetry` as
-        ``<prefix>.memo.{hit,miss,evict}``,
-        ``<prefix>.disk.{hit,miss,corrupt}`` and
-        ``<prefix>.shared.{hit,miss,corrupt}``.
+        ``<prefix>.memo.{hit,miss,evict}`` and
+        ``<prefix>.disk.{hit,miss,corrupt}``.
     file_prefix / file_suffix:
         On-disk entry naming (see :class:`DiskTier`).
     """
@@ -297,13 +247,11 @@ class TieredStore:
         encode: Callable[[Any], bytes],
         decode: Callable[[bytes], Optional[Any]],
         disk_dir: Union[str, Callable[[], Optional[str]], None] = None,
-        shared: Optional[StoreBackend] = None,
         counter_prefix: Optional[str] = None,
         file_prefix: str = "entry-",
         file_suffix: str = ".bin",
     ) -> None:
         self.memory = memory
-        self.shared = shared
         self._encode = encode
         self._decode = decode
         self._disk_dir = disk_dir
@@ -335,8 +283,8 @@ class TieredStore:
     def lookup(self, key: bytes) -> Tuple[Optional[Any], str]:
         """Return ``(value, tier)`` where tier names the serving tier.
 
-        ``tier`` is ``"memory"``, ``"disk"``, ``"shared"`` or ``"miss"``.
-        Hits from slower tiers are promoted into every faster tier.
+        ``tier`` is ``"memory"``, ``"disk"`` or ``"miss"``.  Disk hits
+        are promoted into memory.
         """
         value = self.memory.get(key)
         if value is not None:
@@ -356,18 +304,6 @@ class TieredStore:
                 self._count("disk.corrupt")
             self._count("disk.miss")
 
-        if self.shared is not None:
-            blob = self.shared.get(self.address(key))
-            if blob is not None:
-                value = self._decode(blob)
-                if value is not None:
-                    self._count("shared.hit")
-                    self._store_memory(key, value)
-                    if disk is not None:
-                        disk.put(key, blob)
-                    return value, TIER_SHARED
-                self._count("shared.corrupt")
-            self._count("shared.miss")
         return None, TIER_MISS
 
     def get(self, key: bytes) -> Optional[Any]:
@@ -378,12 +314,8 @@ class TieredStore:
         """Write ``value`` through every configured tier."""
         self._store_memory(key, value)
         disk = self._disk()
-        if disk is not None or self.shared is not None:
-            blob = self._encode(value)
-            if disk is not None:
-                disk.put(key, blob)
-            if self.shared is not None:
-                self.shared.put(self.address(key), blob)
+        if disk is not None:
+            disk.put(key, self._encode(value))
 
     def _store_memory(self, key: bytes, value: Any) -> None:
         evicted = self.memory.put(key, value)
@@ -392,7 +324,7 @@ class TieredStore:
 
     # -- maintenance ---------------------------------------------------
     def clear_memory(self) -> None:
-        """Drop the in-process tier (disk/shared entries persist)."""
+        """Drop the in-process tier (disk entries persist)."""
         self.memory.clear()
 
     def memory_len(self) -> int:

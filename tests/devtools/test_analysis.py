@@ -1,4 +1,4 @@
-"""Tests for the flow-sensitive analysis framework and rules RL011-RL015.
+"""Tests for the project model and the project-wide rules RL013/RL015.
 
 Fixture modules are inline strings (never files committed under
 ``tests/``), so the CI step that lints the test tree never sees the
@@ -9,36 +9,14 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.devtools import LintConfig, lint_paths, lint_source
-from repro.devtools.analysis.cfg import build_cfg
 from repro.devtools.analysis.project import ProjectModel, module_name_for_path
-from repro.devtools.analysis.taint import (
-    KIND_SEED,
-    KIND_TRUSTED,
-    KIND_UNTRUSTED,
-    NONE,
-    Taint,
-    join,
-    parameter_env,
-)
+from repro.devtools.config import LintConfig
 from repro.devtools.context import ModuleContext
-
-import ast
+from repro.devtools.runner import lint_paths, lint_source
 
 
 def dedent(src: str) -> str:
     return textwrap.dedent(src)
-
-
-def codes(findings, *interesting):
-    picked = [f.code for f in findings if f.code in interesting]
-    return picked
-
-
-def flow_codes(findings):
-    return codes(
-        findings, "RL011", "RL012", "RL013", "RL014", "RL015"
-    )
 
 
 def lint_snippet(src, path="pkg/mod.py", **config_kwargs):
@@ -60,304 +38,6 @@ def write_package(tmp_path, modules):
         if not init.exists():
             init.write_text("", encoding="utf-8")
     return root
-
-
-class TestCfg:
-    def _parse(self, src):
-        return ast.parse(dedent(src)).body
-
-    def test_straight_line_single_block_chain(self):
-        cfg = build_cfg(self._parse("""
-            a = 1
-            b = a + 1
-        """))
-        entry = cfg.blocks[cfg.entry_index]
-        assert len(entry.elements) == 2
-        assert cfg.exit_index in entry.succ
-
-    def test_if_produces_branch_and_join(self):
-        cfg = build_cfg(self._parse("""
-            if flag:
-                x = 1
-            else:
-                x = 2
-            y = x
-        """))
-        entry = cfg.blocks[cfg.entry_index]
-        assert len(entry.succ) == 2  # then / else
-        # Both arms reach a common join that reaches the exit.
-        joins = {
-            succ
-            for arm in entry.succ
-            for succ in cfg.blocks[arm].succ
-        }
-        assert len(joins) == 1
-
-    def test_while_has_back_edge(self):
-        cfg = build_cfg(self._parse("""
-            while cond:
-                x = 1
-        """))
-        headers = [
-            b for b in cfg.blocks
-            if any(role == "test" for _n, role in b.elements)
-        ]
-        assert len(headers) == 1
-        header = headers[0]
-        body_entries = [s for s in header.succ]
-        assert any(
-            header.index in cfg.blocks[s].succ or any(
-                header.index in cfg.blocks[t].succ
-                for t in cfg.blocks[s].succ
-            )
-            for s in body_entries
-        )
-
-    def test_return_reaches_exit_directly(self):
-        cfg = build_cfg(self._parse("""
-            if flag:
-                return 1
-            x = 2
-        """))
-        return_blocks = [
-            b for b in cfg.blocks
-            if any(isinstance(n, ast.Return) for n, _ in b.elements)
-        ]
-        assert return_blocks
-        assert all(
-            cfg.exit_index in b.succ for b in return_blocks
-        )
-
-
-class TestTaintEngine:
-    def test_join_takes_worse_kind(self):
-        trusted = Taint(KIND_TRUSTED, line=3)
-        untrusted = Taint(KIND_UNTRUSTED, line=9)
-        assert join(trusted, untrusted).kind == KIND_UNTRUSTED
-        assert join(untrusted, trusted).kind == KIND_UNTRUSTED
-        assert join(NONE, trusted).kind == KIND_TRUSTED
-
-    def test_join_same_kind_prefers_earlier_line(self):
-        a = Taint(KIND_UNTRUSTED, line=9, desc="b")
-        b = Taint(KIND_UNTRUSTED, line=3, desc="a")
-        assert join(a, b).line == 3
-
-    def test_parameter_env_seeds_rng_names(self):
-        node = ast.parse(
-            "def f(rng, seeds, data): pass"
-        ).body[0]
-        env = parameter_env(node)
-        assert env["rng"].kind == KIND_TRUSTED
-        assert env["seeds"].kind == KIND_SEED
-        assert env["seeds"].container
-        assert "data" not in env
-
-    def test_parameter_env_reads_annotations(self):
-        node = ast.parse(
-            "def f(g: np.random.Generator, s: SeedSequence): pass"
-        ).body[0]
-        env = parameter_env(node)
-        assert env["g"].kind == KIND_TRUSTED
-        assert env["s"].kind == KIND_SEED
-
-
-class TestRL011Provenance:
-    def test_untrusted_draw_flagged(self):
-        findings = lint_snippet("""
-            import numpy as np
-            def run():
-                g = np.random.default_rng(0)
-                return g.random()
-        """, select=["RL011"])
-        assert [f.code for f in findings] == ["RL011"]
-        assert "default_rng" in findings[0].message
-
-    def test_rebinding_to_make_rng_clears_taint(self):
-        findings = lint_snippet("""
-            import numpy as np
-            from repro.sim.rng import make_rng
-            def run(seed):
-                g = np.random.default_rng(0)
-                g = make_rng(seed)
-                return g.random()
-        """, select=["RL011"])
-        assert findings == []
-
-    def test_branch_join_keeps_worst_path(self):
-        findings = lint_snippet("""
-            import numpy as np
-            from repro.sim.rng import make_rng
-            def run(seed, flag):
-                if flag:
-                    g = make_rng(seed)
-                else:
-                    g = np.random.default_rng()
-                return g.random()
-        """, select=["RL011"])
-        assert [f.code for f in findings] == ["RL011"]
-
-    def test_trusted_parameter_and_spawn_are_clean(self):
-        findings = lint_snippet("""
-            def run(rng):
-                children = rng.spawn(3)
-                return [c.random() for c in children]
-        """, select=["RL011"])
-        assert findings == []
-
-    def test_raw_generator_constructor_flagged(self):
-        # Generator(PCG64(...)) is invisible to RL001; RL011's dataflow
-        # still tracks the value to its use.
-        findings = lint_snippet("""
-            import numpy as np
-            def run():
-                g = np.random.Generator(np.random.PCG64(1))
-                return g.normal()
-        """, select=["RL011"])
-        assert [f.code for f in findings] == ["RL011"]
-
-    def test_rng_module_may_construct(self):
-        findings = lint_snippet("""
-            import numpy as np
-            def make_rng(seed):
-                g = np.random.default_rng(seed)
-                return g
-        """, path="proj/sim/rng.py", select=["RL011"])
-        assert findings == []
-
-    def test_wrapper_function_summary_taints_caller(self):
-        findings = lint_snippet("""
-            import numpy as np
-            def _hidden():
-                return np.random.default_rng()
-            def run():
-                g = _hidden()
-                return g.random()
-        """, select=["RL011"])
-        assert len(findings) == 2  # the return and the downstream draw
-        assert any("call to _hidden()" in f.message for f in findings)
-
-    def test_suppression_comment_silences(self):
-        findings = lint_snippet("""
-            import numpy as np
-            def run():
-                g = np.random.default_rng(0)
-                return g.random()  # repro-lint: disable=RL011
-        """, select=["RL011"])
-        assert findings == []
-
-    def test_cross_module_taint_chain(self, tmp_path):
-        root = write_package(tmp_path, {
-            "alpha.py": """
-                import numpy as np
-
-                def fresh():
-                    return np.random.default_rng()
-            """,
-            "beta.py": """
-                from proj.alpha import fresh
-
-                def run():
-                    g = fresh()
-                    return g.random()
-            """,
-        })
-        findings = lint_paths([root], LintConfig(select=["RL011"]))
-        by_file = {
-            f.path.rsplit("/", 1)[-1] for f in findings
-        }
-        # The origin module reports the escaping return; the consumer
-        # reports the draw on the imported untrusted value.
-        assert by_file == {"alpha.py", "beta.py"}
-
-
-class TestRL012ParallelBoundary:
-    def test_closure_capturing_generator_flagged(self):
-        findings = lint_snippet("""
-            from repro.sim.rng import make_rng
-            from repro.sim.parallel import parallel_map
-            def run(seed):
-                g = make_rng(seed)
-                def work(i):
-                    return g.random()
-                return parallel_map(work, range(4))
-        """, select=["RL012"])
-        assert [f.code for f in findings] == ["RL012"]
-        assert "captures generator 'g'" in findings[0].message
-
-    def test_lambda_capture_flagged(self):
-        findings = lint_snippet("""
-            from repro.sim.rng import make_rng
-            from repro.sim.parallel import parallel_map
-            def run(seed, items):
-                g = make_rng(seed)
-                return parallel_map(lambda i: g.random() + i, items)
-        """, select=["RL012"])
-        assert [f.code for f in findings] == ["RL012"]
-
-    def test_generators_as_items_flagged(self):
-        findings = lint_snippet("""
-            from repro.sim.rng import make_rng
-            from repro.sim.parallel import parallel_map
-            def run(seed, n):
-                gens = [make_rng(seed + i) for i in range(n)]
-                def work(g):
-                    return g.random()
-                return parallel_map(work, gens)
-        """, select=["RL012"])
-        assert [f.code for f in findings] == ["RL012"]
-
-    def test_plural_param_through_list_builtin_flagged(self):
-        # Taint survives the list() re-packaging, and a parameter named
-        # 'gens' is assumed to carry caller-controlled generators.
-        findings = lint_snippet("""
-            from repro.sim.parallel import parallel_map
-            def fan_out(gens):
-                return parallel_map(lambda g: g.random(), list(gens))
-        """, select=["RL012"])
-        assert [f.code for f in findings] == ["RL012"]
-        assert "parameter 'gens'" in findings[0].message
-
-    def test_spawn_seeds_through_list_builtin_is_clean(self):
-        # The passthrough must preserve the SEED kind, not upgrade it.
-        findings = lint_snippet("""
-            from repro.sim.rng import make_rng, spawn_seeds
-            from repro.sim.parallel import parallel_map
-            def replicate(base_seed, n):
-                def work(s):
-                    return make_rng(s).random()
-                return parallel_map(work, list(spawn_seeds(base_seed, n)))
-        """, select=["RL012"])
-        assert findings == []
-
-    def test_spawn_seeds_items_are_clean(self):
-        # The canonical batch.py pattern: seeds cross the boundary,
-        # generators are constructed inside the worker.
-        findings = lint_snippet("""
-            from repro.sim.rng import make_rng, spawn_seeds
-            from repro.sim.parallel import parallel_map
-            def replicate(base_seed, n):
-                seeds = spawn_seeds(base_seed, n)
-                def work(s):
-                    return make_rng(s).random()
-                return parallel_map(work, seeds)
-        """, select=["RL012"])
-        assert findings == []
-
-    def test_seed_passed_into_rng_deriving_helper_is_clean(self):
-        # False-positive guard: a helper that *receives* seeds and
-        # derives its generator internally must not taint the boundary.
-        findings = lint_snippet("""
-            from repro.sim.rng import make_rng, spawn_seeds
-            from repro.sim.parallel import parallel_map
-            def _one(seed):
-                rng = make_rng(seed)
-                return rng.random()
-            def replicate(base_seed, n):
-                def work(s):
-                    return _one(s)
-                return parallel_map(work, spawn_seeds(base_seed, n))
-        """, select=["RL012"])
-        assert findings == []
 
 
 class TestRL013WorkerState:
@@ -427,59 +107,6 @@ class TestRL013WorkerState:
                 record("n", len(out))
                 return out
         """, select=["RL013"])
-        assert findings == []
-
-
-class TestRL014ExportDrift:
-    def test_dangling_dunder_all_entry_flagged(self):
-        findings = lint_snippet("""
-            __all__ = ["run", "gone"]
-            def run():
-                return 1
-        """, select=["RL014"])
-        assert [f.code for f in findings] == ["RL014"]
-        assert "'gone'" in findings[0].message
-
-    def test_reexported_name_in_dunder_all_is_clean(self):
-        findings = lint_snippet("""
-            from os.path import join
-            __all__ = ["join"]
-        """, select=["RL014"])
-        assert findings == []
-
-    def test_cross_module_broken_import_flagged(self, tmp_path):
-        root = write_package(tmp_path, {
-            "core.py": """
-                __all__ = ["solve"]
-
-                def solve():
-                    return 1
-            """,
-            "client.py": """
-                from proj.core import solve, missing_helper
-            """,
-        })
-        findings = lint_paths([root], LintConfig(select=["RL014"]))
-        assert [f.code for f in findings] == ["RL014"]
-        assert "missing_helper" in findings[0].message
-        assert findings[0].path.endswith("client.py")
-
-    def test_cross_module_reexport_chain_resolves(self, tmp_path):
-        root = write_package(tmp_path, {
-            "impl.py": """
-                def solve():
-                    return 1
-            """,
-            "api.py": """
-                from proj.impl import solve
-
-                __all__ = ["solve"]
-            """,
-            "client.py": """
-                from proj.api import solve
-            """,
-        })
-        findings = lint_paths([root], LintConfig(select=["RL014"]))
         assert findings == []
 
 

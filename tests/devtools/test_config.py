@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from repro.devtools import LintConfig, load_config
+from repro.devtools.config import LintConfig, load_config
 from repro.devtools.config import _parse_toml_subset, find_pyproject
 from repro.devtools.rules import LintError
 
@@ -21,7 +21,7 @@ class TestLintConfig:
     def test_defaults_select_every_rule(self):
         config = LintConfig()
         assert config.enabled_codes() == tuple(
-            f"RL{i:03d}" for i in range(1, 16)
+            f"RL{i:03d}" for i in (*range(1, 11), 13, 15)
         )
         assert config.rng_modules == ("sim/rng.py",)
         assert config.kernel_modules == (

@@ -11,9 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import LintConfig, lint_paths
 from repro.devtools.cli import main
-from repro.devtools.runner import collect_files, format_findings, lint_source
+from repro.devtools.config import LintConfig
+from repro.devtools.runner import (
+    collect_files,
+    format_findings,
+    lint_paths,
+    lint_source,
+)
 from repro.devtools.rules import LintError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -53,9 +58,7 @@ class TestEngine:
         (tmp_path / "good.py").write_text(CLEAN_MODULE)
         (tmp_path / "bad.py").write_text(DIRTY_MODULE)
         findings = lint_paths([tmp_path], LintConfig())
-        # RL001 flags the unseeded construction; RL011 the flow-tracked
-        # draw from the untrusted generator.
-        assert {f.code for f in findings} == {"RL001", "RL011"}
+        assert {f.code for f in findings} == {"RL001"}
         assert all(f.path.endswith("bad.py") for f in findings)
 
     def test_exclude_glob_skips_file(self, tmp_path):
@@ -127,7 +130,7 @@ class TestCliMain:
     def test_ignore_flag(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(DIRTY_MODULE)
         rc = main([
-            str(tmp_path), "--no-config", "--ignore", "RL001,RL011",
+            str(tmp_path), "--no-config", "--ignore", "RL001",
         ])
         assert rc == 0
 
@@ -145,14 +148,23 @@ class TestCliMain:
         rc = main(["--list-rules"])
         assert rc == 0
         out = capsys.readouterr().out
-        for i in range(1, 9):
-            assert f"RL00{i}" in out
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [f"RL{i:03d}" for i in (*range(1, 11), 13, 15)]
+
+    def test_sarif_flag(self, capsys, tmp_path):
+        (tmp_path / "bad.py").write_text(DIRTY_MODULE)
+        sarif = tmp_path / "out.sarif"
+        rc = main([str(tmp_path), "--no-config", "--sarif", str(sarif)])
+        assert rc == 1
+        doc = json.loads(sarif.read_text(encoding="utf-8"))
+        assert doc["version"] == "2.1.0"
+        assert doc["runs"][0]["results"]
 
     def test_config_file_respected(self, capsys, tmp_path):
         (tmp_path / "bad.py").write_text(DIRTY_MODULE)
         pyproject = tmp_path / "pyproject.toml"
         pyproject.write_text(
-            "[tool.repro-lint]\nignore = [\"RL001\", \"RL011\"]\n"
+            "[tool.repro-lint]\nignore = [\"RL001\"]\n"
         )
         rc = main([str(tmp_path), "--config", str(pyproject)])
         assert rc == 0

@@ -13,8 +13,9 @@ import textwrap
 
 import pytest
 
-from repro.devtools import LintConfig, all_rules, get_rule, lint_source
-from repro.devtools.rules import LintError
+from repro.devtools.config import LintConfig
+from repro.devtools.rules import LintError, all_rules, get_rule
+from repro.devtools.runner import lint_paths, lint_source
 
 
 def run_rule(code, source, path="pkg/module.py"):
@@ -25,9 +26,9 @@ def run_rule(code, source, path="pkg/module.py"):
 
 
 class TestRegistry:
-    def test_fifteen_rules_registered(self):
+    def test_registered_rule_codes(self):
         codes = [rule.code for rule in all_rules()]
-        assert codes == [f"RL{i:03d}" for i in range(1, 16)]
+        assert codes == [f"RL{i:03d}" for i in (*range(1, 11), 13, 15)]
 
     def test_rules_have_names_and_descriptions(self):
         for rule in all_rules():
@@ -109,6 +110,131 @@ class TestRL001UnseededRandom:
         src = """
             def f(random):
                 return random.random()
+        """
+        assert run_rule("RL001", src) == []
+
+
+def flagged_lines(code, source, path="pkg/module.py"):
+    """Lines ``code`` fires on when it alone lints ``source``."""
+    config = LintConfig(select=[code])
+    findings = lint_source(textwrap.dedent(source), path=path, config=config)
+    return sorted({f.line for f in findings if f.code == code})
+
+
+class TestRL001GeneratorConstruction:
+    """Every direct generator construction fires where it is written.
+
+    These are the fixture shapes a flow-sensitive provenance rule once
+    tracked to their use sites; flagging the construction itself covers
+    each of them, including the ones that hide the generator behind a
+    branch, a helper or a module boundary.
+    """
+
+    def test_untrusted_draw_flagged(self):
+        src = """
+            import numpy as np
+            def run():
+                g = np.random.default_rng(0)
+                return g.random()
+        """
+        assert 4 in flagged_lines("RL001", src)
+
+    def test_branch_join_flagged(self):
+        src = """
+            import numpy as np
+            from repro.sim.rng import make_rng
+            def run(seed, flag):
+                if flag:
+                    g = make_rng(seed)
+                else:
+                    g = np.random.default_rng()
+                return g.random()
+        """
+        assert 8 in flagged_lines("RL001", src)
+
+    def test_laundering_helper_flagged(self):
+        src = """
+            import numpy as np
+            def _hidden():
+                return np.random.default_rng()
+            def run():
+                g = _hidden()
+                return g.random()
+        """
+        assert 4 in flagged_lines("RL001", src)
+
+    def test_raw_generator_constructor_flagged(self):
+        src = """
+            import numpy as np
+            def run():
+                g = np.random.Generator(np.random.PCG64(1))
+                return g.normal()
+        """
+        assert 4 in flagged_lines("RL001", src)
+
+    def test_random_state_flagged(self):
+        src = """
+            from numpy.random import RandomState
+            def run():
+                return RandomState(3).normal()
+        """
+        assert 4 in flagged_lines("RL001", src)
+
+    @pytest.mark.parametrize(
+        "ctor", ["PCG64DXSM", "MT19937", "Philox", "SFC64"]
+    )
+    def test_bit_generators_flagged(self, ctor):
+        src = f"""
+            import numpy as np
+            bits = np.random.{ctor}(7)
+        """
+        assert run_rule("RL001", src) == ["RL001"]
+
+    def test_cross_module_chain_flagged_at_origin(self, tmp_path):
+        root = tmp_path / "proj"
+        root.mkdir()
+        (root / "__init__.py").write_text("")
+        (root / "alpha.py").write_text(textwrap.dedent("""
+            import numpy as np
+
+            def fresh(seed):
+                return np.random.default_rng()
+        """))
+        (root / "beta.py").write_text(textwrap.dedent("""
+            from proj.alpha import fresh
+
+            def run(seed):
+                g = fresh(seed)
+                return g.random()
+        """))
+        findings = lint_paths([root], LintConfig(select=["RL001"]))
+        # The chain is cut where the generator is built.
+        assert [(f.code, f.path.rsplit("/", 1)[-1]) for f in findings] == [
+            ("RL001", "alpha.py")
+        ]
+
+    def test_trusted_parameter_and_spawn_are_clean(self):
+        src = """
+            def run(rng):
+                children = rng.spawn(3)
+                return [c.random() for c in children]
+        """
+        assert run_rule("RL001", src) == []
+
+    def test_rng_module_may_construct(self):
+        src = """
+            import numpy as np
+            def make_rng(seed):
+                return np.random.Generator(np.random.PCG64(seed))
+        """
+        assert run_rule("RL001", src, path="proj/sim/rng.py") == []
+
+    def test_suppression_comment_silences(self):
+        src = """
+            import numpy as np
+            def run(seed):
+                g = np.random.default_rng(0)  # repro-lint: disable=RL001
+                return g.random()
         """
         assert run_rule("RL001", src) == []
 

@@ -132,8 +132,8 @@ SARIF_CORE_SCHEMA = {
 
 FINDINGS = [
     Finding(
-        code="RL011",
-        message="generator from default_rng(...) draws untrusted",
+        code="RL013",
+        message="item assignment to module-level state '_CACHE'",
         path="src/repro/sim/engine.py",
         line=42,
         col=7,
@@ -201,7 +201,8 @@ class TestSarifSchemaValidation:
         jsonschema = pytest.importorskip("jsonschema")
         from pathlib import Path
 
-        from repro.devtools import LintConfig, lint_paths
+        from repro.devtools.config import LintConfig
+        from repro.devtools.runner import lint_paths
 
         package = (
             Path(__file__).resolve().parent.parent.parent / "src" / "repro"

@@ -4,7 +4,7 @@ The store package backs both the partial-info analysis memo and the
 ``repro serve`` policy store, so these tests pin its contracts
 directly: byte-budgeted strictly-LRU eviction (including under thread
 contention), torn-write-proof disk publication, corrupt-entry fallback,
-and hit promotion across all three tiers.
+and hit promotion from disk into memory.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.devtools import telemetry
 from repro.store import (
-    DictBackend,
     DiskTier,
     MemoryLRU,
     StoreError,
@@ -179,13 +178,12 @@ class TestDiskTier:
         assert glob.glob(str(tmp_path / "*tmp*")) == []
 
 
-def _json_store(tmp_path=None, shared=None, prefix=None):
+def _json_store(tmp_path=None, prefix=None):
     return TieredStore(
         memory=MemoryLRU(8, 10_000),
         encode=lambda v: json.dumps(v, sort_keys=True).encode(),
         decode=_decode_json,
         disk_dir=None if tmp_path is None else str(tmp_path),
-        shared=shared,
         counter_prefix=prefix,
         file_prefix="t-", file_suffix=".json",
     )
@@ -235,22 +233,6 @@ class TestTieredStore:
         store.put(b"k", {"x": 4})
         store.clear_memory()
         assert store.get(b"k") == {"x": 4}
-
-    def test_shared_backend_promotes_to_disk_and_memory(self, tmp_path):
-        backend = DictBackend()
-        writer = _json_store(tmp_path, shared=backend)
-        writer.put(b"k", {"x": 5})
-        assert len(backend) == 1
-
-        # A different host: same shared backend, fresh memory and disk.
-        other_dir = tmp_path / "other"
-        reader = _json_store(other_dir, shared=backend)
-        value, tier = reader.lookup(b"k")
-        assert value == {"x": 5}
-        assert tier == "shared"
-        assert reader.lookup(b"k")[1] == "memory"
-        reader.clear_memory()
-        assert reader.lookup(b"k")[1] == "disk"
 
     def test_counters(self, tmp_path):
         store = _json_store(tmp_path, prefix="t")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -12,8 +15,19 @@ class TestPublicSurface:
         assert repro.__version__
 
     def test_all_names_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None, name
+        """Every ``__all__`` name of every ``repro`` module is bound."""
+        modules = ["repro"] + [
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.name.rsplit(".", 1)[-1] != "__main__"
+        ]
+        assert "repro.sim.batch_kernel" in modules
+        for module_name in modules:
+            module = importlib.import_module(module_name)
+            for name in getattr(module, "__all__", ()):
+                assert getattr(module, name, None) is not None, (
+                    f"{module_name}.{name}"
+                )
 
     def test_quickstart_flow(self):
         """The README quickstart must work verbatim."""
