@@ -9,8 +9,6 @@ output is the figure data; wall-clock time is reported as a bonus.
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -23,14 +21,6 @@ def record(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
-
-
-def record_json(name: str, payload: dict) -> pathlib.Path:
-    """Archive a machine-readable result under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def run_once(benchmark, fn):

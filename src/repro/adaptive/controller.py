@@ -17,8 +17,8 @@ policy when the estimate drifts:
   solves.  The fitted pmf is *quantized* before solving, so successive
   fits that differ only by estimation noise produce byte-identical
   distributions — same fingerprint, warm memo hits, and a re-solve that
-  costs a fraction of the cold one (gated in the bench; counters
-  ``analysis.memo.hit.memory`` / ``analysis.prefix.hit``).
+  recomputes nothing (asserted in tier-1 by the counters
+  ``analysis.memo.hit`` / ``analysis.memo.miss``).
 
 Re-solve triggers:
 

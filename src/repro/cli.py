@@ -162,22 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "bit-identical)")
     add_telemetry_flag(experiment)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the simulator throughput suite, write BENCH_simulator.json",
-    )
-    bench.add_argument("--horizon", type=int, default=None,
-                       help="slots per timed run (default 100000)")
-    bench.add_argument("--quick", action="store_true",
-                       help="reduced horizon / replicates for CI smoke runs")
-    bench.add_argument("--replicates", type=int, default=None,
-                       help="replicates for the serial-vs-parallel timing")
-    bench.add_argument("--jobs", type=int, default=2,
-                       help="worker processes for the parallel timing")
-    bench.add_argument("--output", default="BENCH_simulator.json",
-                       help="where to write the JSON payload")
-    add_telemetry_flag(bench)
-
     serve = sub.add_parser(
         "serve",
         help="run the cache-first solve/simulate HTTP service",
@@ -294,34 +278,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.devtools.bench import (
-        DEFAULT_HORIZON,
-        QUICK_HORIZON,
-        format_bench,
-        run_bench,
-        write_bench,
-    )
-
-    horizon = args.horizon
-    if horizon is None:
-        horizon = QUICK_HORIZON if args.quick else DEFAULT_HORIZON
-    replicates = args.replicates
-    if replicates is None:
-        replicates = 4 if args.quick else 8
-    payload = run_bench(
-        horizon=horizon,
-        n_replicates=replicates,
-        n_jobs=args.jobs,
-        rounds=2 if args.quick else 3,
-        quick=args.quick,
-    )
-    write_bench(payload, args.output)
-    print(format_bench(payload))
-    print(f"wrote {args.output}")
-    return 0
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro import experiments as exp
 
@@ -403,8 +359,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_solve(args)
     if args.command == "simulate":
         return _cmd_simulate(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
     return _cmd_experiment(args)

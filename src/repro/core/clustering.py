@@ -234,8 +234,9 @@ def optimize_clustering(
     blocks, so each worker keeps its own prefix reuse); results are
     bit-identical for every ``n_jobs``.
     """
-    if e < 0:
-        raise PolicyError(f"mean recharge rate must be >= 0, got {e}")
+    if e <= 0:
+        # e == 0 would stretch the n3 extension below to ~1e10 slots.
+        raise PolicyError(f"mean recharge rate must be > 0, got {e}")
 
     solver = PartialInfoSolver(distribution, delta1, delta2)
     n1s, n2s, n3_offsets = _boundary_candidates(

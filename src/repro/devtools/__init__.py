@@ -2,9 +2,8 @@
 
 Two independent pieces live here:
 
-* :mod:`~repro.devtools.telemetry` (and :mod:`~repro.devtools.bench`)
-  — the counters, spans and run manifests the simulation, solve and
-  serve layers report through;
+* :mod:`~repro.devtools.telemetry` — the counters, spans and run
+  manifests the simulation, solve and serve layers report through;
 * ``repro lint`` (also ``python -m repro.lint``) — an AST-based
   static-analysis pass that enforces the reproducibility and
   numeric-safety invariants the paper reproduction depends on: seeded

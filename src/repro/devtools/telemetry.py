@@ -22,7 +22,7 @@ Collection is explicitly scoped::
 Outside a :func:`collect` block every instrumentation call is a no-op
 behind a single truthiness check on a module-level list, so hot paths
 pay effectively nothing when telemetry is off (asserted < 2% of the
-bench hot path by ``tests/devtools/test_telemetry.py``).  Telemetry
+simulation hot path by ``tests/devtools/test_telemetry.py``).  Telemetry
 never touches the RNG or any numeric code path, so results are
 bit-identical with collection enabled or disabled.
 
@@ -53,8 +53,8 @@ package versions, the recorded simulation runs with their parameters
 and :func:`describe_seed` seed provenance, and the full telemetry
 payload — validated by :func:`validate_manifest` (schema version
 :data:`MANIFEST_SCHEMA_VERSION`).  The CLI exposes this as
-``--telemetry out.json`` on ``solve`` / ``simulate`` / ``experiment`` /
-``bench``.
+``--telemetry out.json`` on ``solve`` / ``simulate`` /
+``experiment``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ constructor arguments needed to rebuild the policy object.  Python
 floats survive a JSON round-trip bit-for-bit (``json`` serialises via
 ``repr`` and parses back the same double), so a policy reconstructed by
 :func:`policy_from_payload` simulates identically to the object the
-solver returned — the bit-identity guarantee the serve bench gate
-asserts.
+solver returned — the bit-identity guarantee
+``tests/serve/test_server.py`` asserts.
 
 The *solver params* accepted per family (and folded into the store key)
 are whitelisted here; unknown parameters are rejected before any solver

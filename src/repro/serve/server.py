@@ -15,8 +15,8 @@ methods ``405``.  Every error body validates against
 ``ERROR_RESPONSE_SCHEMA``.
 
 :class:`ServerThread` runs the whole loop in a daemon thread and binds
-an ephemeral port — the harness tests, the CI smoke step and the bench
-all drive a real socket through it.
+an ephemeral port — the harness tests drive a real socket through
+it.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ class ServerThread:
     """A live ``repro serve`` instance on a daemon thread.
 
     Binds an ephemeral port by default and exposes it as :attr:`port`
-    once :meth:`start` returns, so tests/bench can point an HTTP client
+    once :meth:`start` returns, so tests can point an HTTP client
     at ``http://127.0.0.1:{port}`` without racing the bind.  Use as a
     context manager for deterministic teardown.
     """

@@ -2,8 +2,8 @@
 
 :class:`PolicyService` is transport-agnostic — the HTTP layer in
 :mod:`repro.serve.server` only parses bodies and maps exceptions to
-status codes; everything below lives here so tests and the bench can
-drive the service in-process.
+status codes; everything below lives here so tests can drive the
+service in-process.
 
 Three mechanisms make the service cache-first (DESIGN.md §15):
 
@@ -18,8 +18,8 @@ Three mechanisms make the service cache-first (DESIGN.md §15):
     in-flight ``asyncio.Future`` keyed on the hex content address: the
     first request computes (in a worker thread), every concurrent
     duplicate awaits the same future, and the solver runs exactly once
-    (the bench gate asserts ``computed == 1`` for 8 concurrent cold
-    requests).
+    (``tests/serve/test_server.py`` asserts ``computed == 1`` for 8
+    concurrent cold requests).
 
 3.  **Simulate micro-batching.**  ``/simulate`` requests arriving
     within a short window are packed into one

@@ -111,9 +111,8 @@ def simulate_single(
     backends are bit-identical.
 
     ``collect_aoi=False`` skips the Age-of-Information accumulators and
-    leaves ``result.aoi`` as ``None`` (the benchmark's overhead gate
-    times both settings against each other); it never changes any other
-    field of the result.
+    leaves ``result.aoi`` as ``None``; it never changes any other field
+    of the result.
     """
     if backend not in BACKENDS:
         raise SimulationError(

@@ -25,7 +25,7 @@ a host where the scan did not compile — runs the reference loop in
 The C scan performs the same floating-point operations in the same
 order as the reference loop, so results are **bit-identical** — this is
 asserted by ``tests/sim/test_network_kernel.py`` and re-checked by the
-``network`` section of the benchmark harness on every run.
+``sim_fleet`` workload of ``perfbench/`` on every run.
 """
 
 from __future__ import annotations

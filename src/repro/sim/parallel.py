@@ -20,7 +20,7 @@ Forking a pool costs tens of milliseconds (process spawn, numpy state
 copy, IPC setup) *per call* — a fresh pool cannot be reused across calls
 because the worker callable is inherited at fork time.  For small
 workloads that fixed cost dominates and "parallelism" is a slowdown
-(the 0.48x replicate regression in ``BENCH_simulator.json``).
+(a 0.48x replicate slowdown at ``n_jobs=2`` when first measured).
 ``parallel_map`` therefore times the first item serially and only forks
 when the *remaining* serial work (``first_seconds * (len(items) - 1)``)
 exceeds :data:`PARALLEL_MIN_FORK_SECONDS`; below the threshold it

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.adaptive import AdaptiveController
+from repro.analysis.partial_info import clear_analysis_cache
 from repro.core.baselines import AggressivePolicy
 from repro.devtools import telemetry
 from repro.energy.recharge import ConstantRecharge
@@ -43,6 +44,13 @@ def _make_sim(
         seed=seed,
         full_info=full_info,
     )
+
+
+def _solved_key(controller: AdaptiveController) -> tuple:
+    """The clustering structure and predicted QoM of the last solve."""
+    p = controller._policy
+    return (p.n1, p.n2, p.n3, p.c_n1, p.c_n2, p.c_n3,
+            controller._solved.predicted_qom)
 
 
 class TestValidation:
@@ -218,12 +226,17 @@ class TestPartialInfoLoop:
         assert controller.n_resolves >= 1
         assert col.counters.get("analysis.prefix.hit", 0) > 0
         # Re-solving the identical quantized distribution again must
-        # come back from the analysis memo.
-        before = col.counters.get("analysis.memo.hit", 0)
+        # come back from the analysis memo without a single recompute ...
+        fitted = controller.current_distribution
         with telemetry.collect() as col2:
-            controller._solve(controller.current_distribution)
+            controller._solve(fitted)
         assert col2.counters.get("analysis.memo.hit", 0) > 0
-        assert before >= 0
+        assert col2.counters.get("analysis.memo.miss", 0) == 0
+        warm = _solved_key(controller)
+        # ... and must match a cold solve of the same fit exactly.
+        clear_analysis_cache()
+        controller._solve(fitted)
+        assert _solved_key(controller) == warm
 
     def test_pi_estimate_deconvolves_with_model_hint(self) -> None:
         sim = _make_sim(

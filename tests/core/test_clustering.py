@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core import ClusteringPolicy, evaluate_clustering, optimize_clustering
 from repro.core.policy import InfoModel
-from repro.events import EmpiricalInterArrival
+from repro.events import EmpiricalInterArrival, WeibullInterArrival
 from repro.exceptions import PolicyError
 
 DELTA1, DELTA2 = 1.0, 6.0
@@ -140,6 +142,14 @@ class TestOptimizer:
     def test_negative_rate_rejected(self, small_weibull):
         with pytest.raises(PolicyError):
             optimize_clustering(small_weibull, -1.0, DELTA1, DELTA2)
+
+    def test_zero_rate_rejected_before_search(self):
+        """Regression: e == 0 used to reach the n3 extension, whose
+        (delta1 + delta2) / 1e-9 scale asked for a ~52 GiB allocation."""
+        start = time.perf_counter()
+        with pytest.raises(PolicyError, match="must be > 0"):
+            optimize_clustering(WeibullInterArrival(40, 3), 0.0, 1, 6)
+        assert time.perf_counter() - start < 0.5
 
     def test_two_slot_hot_region_lands_on_high_hazard(self):
         """For alpha = (0.2, 0.8) the hot region must include slot 2."""

@@ -6,7 +6,7 @@ The contract under test, in order of importance:
    collector active or not, on every backend.
 2. Counter/timer totals are exact across process boundaries: a forked
    ``parallel_map`` reports the same totals as the serial run.
-3. Disabled-mode instrumentation costs < 2% of the bench hot path.
+3. Disabled-mode instrumentation costs < 2% of the simulation hot path.
 4. Run manifests round-trip through JSON and the schema check.
 """
 

@@ -18,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.partial_info import clear_analysis_cache
 from repro.core.baselines import (
     energy_balanced_period,
     solve_age_threshold,
@@ -137,9 +138,12 @@ class TestSolve:
         validate(cold, SOLVE_RESPONSE_SCHEMA, "solve")
         assert cold["cache"] == {"tier": "computed", "hit": False}
 
+        computed = server.service.stats["solve.computed"]
         status, warm = _request(server, "POST", "/solve", request)
         assert status == 200
         assert warm["cache"] == {"tier": "memory", "hit": True}
+        # The warm path never re-runs the solver.
+        assert server.service.stats["solve.computed"] == computed
         assert warm["policy"] == cold["policy"]
         assert warm["address"] == cold["address"]
 
@@ -303,6 +307,16 @@ class TestCoalescing:
         serial = asyncio.run(reference.solve(dict(request)))
         reference.close()
         assert all(r["policy"] == serial["policy"] for r in responses)
+        # ... and to a cold direct call of the library entry point.
+        clear_analysis_cache()
+        direct = optimize_clustering(
+            parse_distribution(EVENTS), RATE, DELTA1, DELTA2
+        )
+        fields = ("n1", "n2", "n3", "c_n1", "c_n2", "c_n3")
+        assert {f: serial["policy"][f] for f in fields} == {
+            f: getattr(direct.policy, f) for f in fields
+        }
+        assert serial["qom"] == direct.qom
 
     def test_failed_solve_propagates_to_all_waiters(self):
         service = PolicyService(batch_window_ms=1.0)

@@ -167,6 +167,15 @@ class TestErrorPaths:
         assert rc != 0
         assert "bernoulli-q" in capsys.readouterr().err
 
+    def test_clustering_zero_rate_rejected(self, capsys):
+        """Regression: rate 0 used to ask the n3 search for ~1e10 slots."""
+        rc = main(["solve", "--events", "weibull:40,3", "--policy",
+                   "clustering", "--rate", "0"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:")
+        assert "must be > 0" in captured.err
+
     def test_reproerror_maps_to_exit_code_one(self, capsys):
         """Library errors surface as 'error: ...' on stderr with rc 1."""
         rc = main(["simulate", "--events", "deterministic:5", "--rate", "1.0",
@@ -226,52 +235,3 @@ class TestJobsFlag:
         vec_out = capsys.readouterr().out
         assert ref_out == vec_out
         assert "Fig. 6(a)" in ref_out
-
-
-class TestBenchCommand:
-    def test_quick_bench_writes_payload(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "bench.json"
-        rc = main(["bench", "--quick", "--horizon", "2000",
-                   "--replicates", "2", "--jobs", "2",
-                   "--output", str(out)])
-        text = capsys.readouterr().out
-        assert rc == 0
-        assert "simulator benchmark" in text
-        assert "identical=True" in text
-        assert str(out) in text
-        payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 2
-        assert payload["horizon"] == 2000
-        for row in payload["policies"].values():
-            assert row["bit_identical"] is True
-            assert row["speedup"] > 0
-        assert payload["network"]["n_values"] == [1, 4]
-        aoi = payload["aoi"]
-        assert aoi["gate_pct"] == 5.0
-        assert "age_threshold" in aoi["cells"]
-        for row in aoi["cells"].values():
-            assert row["bit_identical"] is True
-            assert row["qom_only_seconds"] > 0
-            assert row["with_aoi_seconds"] > 0
-        for row in payload["network"]["cells"].values():
-            assert row["bit_identical"] is True
-            assert row["speedup"] > 0
-        assert payload["replicate"]["identical"] is True
-        assert payload["replicate"]["n_jobs"] == 2
-        # Parallelism must never be a pessimization: either the harness
-        # beat serial or it auto-dispatched the workload serially.
-        rep = payload["replicate"]
-        assert rep["dispatch"] in ("parallel", "serial-auto")
-        if rep["dispatch"] == "parallel":
-            assert rep["speedup"] >= 1.0
-        assert rep["pool_spinup_seconds"] > 0
-        assert rep["threshold_seconds"] > 0
-        # The telemetry section reflects what actually executed.
-        tel = payload["telemetry"]
-        assert tel["backend_dispatch"], "no backend dispatch recorded"
-        assert tel["cache"]["memo_hits"] + tel["cache"]["memo_misses"] > 0
-        assert tel["parallel_dispatch"], "no parallel_map dispatch recorded"
-        assert sum(tel["parallel_dispatch"].values()) >= 2
-        assert tel["events_recorded"] > 0
