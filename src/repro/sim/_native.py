@@ -51,7 +51,8 @@ _SOURCE = r"""
 /* One sensor, `horizon` slots, reflected-battery arithmetic: the level
  * before each decision is (neg + cs[t]) - shave.  Must mirror
  * repro.sim.engine._simulate_reference operation-for-operation.  Shared
- * verbatim by the single-run and batch entry points below.
+ * verbatim by the single-run and batch entry points below; a single
+ * run may resume a trajectory, a batch run always starts fresh.
  *
  * Age-of-Information accumulators (compute_aoi != 0): a capture at
  * 1-based slot t closes a gap of g = t - last_capture slots whose
@@ -74,19 +75,22 @@ static void scan_one(
     double capacity,
     double delta1,
     double delta2,
-    double initial,
+    double initial,          /* neg at the first slot */
+    double initial_shave,    /* shave at the first slot (0 for a fresh run) */
+    int64_t initial_recency, /* recency at the first slot (1 for a fresh run) */
     int64_t *out_counts,     /* activations, captures, blocked,
                                 aoi_area, aoi_area_sq, aoi_max,
                                 last_capture_slot */
-    double *out_state)       /* neg, shave */
+    double *out_state,       /* neg, shave */
+    uint8_t *out_captured)   /* capture flag per slot, or NULL */
 {
     double neg = initial;
-    double shave = 0.0;
+    double shave = initial_shave;
     const double cost_capture = delta1 + delta2;
     const double activation_cost = delta1 + delta2;
     int64_t activations = 0, captures = 0, blocked = 0;
     int64_t aoi_area = 0, aoi_sq = 0, aoi_max = 0, last_capture = 0;
-    int64_t recency = 1;
+    int64_t recency = initial_recency;
     int64_t t;
     for (t = 0; t < horizon; t++) {
         double pre = neg + cs[t];
@@ -124,6 +128,7 @@ static void scan_one(
                 }
             }
         }
+        if (out_captured) out_captured[t] = (uint8_t)captured;
         if (full_info) {
             recency = event ? 1 : recency + 1;
         } else {
@@ -162,12 +167,16 @@ void repro_scan(
     double delta1,
     double delta2,
     double initial,
+    double initial_shave,
+    int64_t initial_recency,
     int64_t *out_counts,
-    double *out_state)
+    double *out_state,
+    uint8_t *out_captured)
 {
     scan_one(horizon, cs, events, coins, table, table_size, tail,
              slot_mode, full_info, compute_aoi, capacity, delta1, delta2,
-             initial, out_counts, out_state);
+             initial, initial_shave, initial_recency,
+             out_counts, out_state, out_captured);
 }
 
 /* Batched single-sensor scan: `n_runs` independent configurations over
@@ -220,8 +229,11 @@ void repro_batch_scan(
                  delta1s[r],
                  delta2s[r],
                  initials[r],
+                 0.0,
+                 1,
                  out_counts + r * 7,
-                 out_state + r * 2);
+                 out_state + r * 2,
+                 0);
     }
 }
 
@@ -474,8 +486,11 @@ class NativeScan:
             ctypes.c_double,
             ctypes.c_double,
             ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_int64,
             _I64P,
             _F64P,
+            _U8P,
         ]
         self._net_fn = lib.repro_network_scan
         self._net_fn.restype = None
@@ -583,14 +598,24 @@ class NativeScan:
         delta2: float,
         initial: float,
         compute_aoi: bool = True,
+        initial_shave: float = 0.0,
+        initial_recency: int = 1,
+        out_captured: Optional[np.ndarray] = None,
     ) -> Tuple[int, int, int, float, float, Tuple[int, int, int, int]]:
         """Run the scan.
 
         Returns ``(activations, captures, blocked, neg, shave, aoi)``
         where ``aoi = (area, area_sq, max_age, last_capture_slot)`` —
-        all zeros when ``compute_aoi`` is False.
+        all zeros when ``compute_aoi`` is False.  ``initial*`` resume a
+        trajectory (``cs`` continuing its cumulative recharge);
+        ``out_captured`` receives the per-slot capture flags.
         """
         horizon = cs.shape[0]
+        if out_captured is not None and not (
+            out_captured.dtype == np.uint8 and out_captured.size >= horizon
+            and out_captured.flags.c_contiguous
+        ):
+            raise SimulationError("out_captured: need contiguous uint8[horizon]")
         cs_c = _c(cs, np.float64)
         ev_c = _c(events, np.uint8)
         coin_c = _c(coins, np.float64)
@@ -615,8 +640,11 @@ class NativeScan:
             ctypes.c_double(delta1),
             ctypes.c_double(delta2),
             ctypes.c_double(initial),
+            ctypes.c_double(initial_shave),
+            ctypes.c_int64(initial_recency),
             counts.ctypes.data_as(_I64P),
             state.ctypes.data_as(_F64P),
+            None if out_captured is None else out_captured.ctypes.data_as(_U8P),
         )
         return (
             int(counts[0]),

@@ -38,7 +38,9 @@ arrays, and mixed batches return results in input order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -116,32 +118,15 @@ class _Drawn:
     initial: float
 
 
-def _validate_common(
-    i: int, capacity: float, delta1: float, delta2: float, horizon: int
-) -> None:
-    if horizon < 0:
-        raise SimulationError(f"spec {i}: horizon must be >= 0, got {horizon}")
-    if capacity < 0:
-        raise SimulationError(
-            f"spec {i}: capacity must be >= 0, got {capacity}"
+def _spec_initial(i: int, spec: Union[RunSpec, NetworkRunSpec]) -> float:
+    """Check spec ``i`` like a single run; return its initial level."""
+    try:
+        return engine._check_run(
+            spec.horizon, spec.capacity, spec.delta1, spec.delta2,
+            spec.initial_energy,
         )
-    if delta1 < 0 or delta2 < 0:
-        raise SimulationError(
-            f"spec {i}: delta1/delta2 must be >= 0, got {delta1}, {delta2}"
-        )
-
-
-def _resolve_initial(
-    i: int, capacity: float, initial_energy: Optional[float]
-) -> float:
-    initial = (
-        capacity / 2.0 if initial_energy is None else float(initial_energy)
-    )
-    if not 0 <= initial <= capacity:
-        raise SimulationError(
-            f"spec {i}: initial energy {initial} outside [0, {capacity}]"
-        )
-    return initial
+    except SimulationError as exc:
+        raise SimulationError(f"spec {i}: {exc}") from None
 
 
 def _draw_single(
@@ -167,11 +152,7 @@ def _draw_single(
         fast = kernel.policy_fast_paths(spec.policy, spec.horizon)
         fast_cache[key] = fast
     reason = kernel.ineligibility_reason(
-        battery_aware=fast.battery_aware,
-        collect_battery_trace=spec.collect_battery_trace,
-        has_table=fast.table is not None,
-        has_slot_probs=fast.slot_probs is not None,
-        recharge_amounts=recharge_amounts,
+        fast, recharge_amounts, spec.collect_battery_trace
     )
     return _Drawn(
         events=events,
@@ -345,12 +326,7 @@ def simulate_batch(
         return []
     telemetry.count("batch.runs", n_specs)
 
-    for i, s in enumerate(specs):
-        _validate_common(i, s.capacity, s.delta1, s.delta2, s.horizon)
-    initials = [
-        _resolve_initial(i, s.capacity, s.initial_energy)
-        for i, s in enumerate(specs)
-    ]
+    initials = [_spec_initial(i, s) for i, s in enumerate(specs)]
     fast_cache: Dict[Tuple[int, int], kernel.PolicyFastPaths] = {}
     all_streams = bulk_substreams([s.seed for s in specs], 3)
     event_rows = _bulk_event_rows(specs, [st[0] for st in all_streams])
@@ -391,23 +367,11 @@ def simulate_batch(
             fallback_reasons.append(d.reason or "")
         spec = specs[i]
         results[i] = engine._simulate_reference(
-            policy=spec.policy,
-            events=d.events,
-            recharge_amounts=d.recharge,
-            coins=d.coins,
-            table=d.fast.table,
-            tail=d.fast.tail,
-            slot_probs=d.fast.slot_probs,
-            battery_aware=d.fast.battery_aware,
-            full_info=d.fast.full_info,
-            capacity=float(spec.capacity),
-            delta1=float(spec.delta1),
-            delta2=float(spec.delta2),
-            horizon=spec.horizon,
-            initial=d.initial,
-            collect_battery_trace=spec.collect_battery_trace,
-            collect_aoi=spec.collect_aoi,
-        )
+            spec.policy, d.fast, d.events, d.recharge, d.coins,
+            float(spec.capacity), float(spec.delta1), float(spec.delta2),
+            spec.horizon, d.initial, spec.collect_battery_trace,
+            spec.collect_aoi,
+        )[0]
     telemetry.count("batch.dispatch.reference", n_specs - len(eligible))
     _count_fallbacks("simulate_batch", fallback_reasons)
     _record_runs(
@@ -582,12 +546,7 @@ def simulate_network_runs(
         return []
     telemetry.count("network_batch.runs", n_specs)
 
-    for i, s in enumerate(specs):
-        _validate_common(i, s.capacity, s.delta1, s.delta2, s.horizon)
-    initials = [
-        _resolve_initial(i, s.capacity, s.initial_energy)
-        for i, s in enumerate(specs)
-    ]
+    initials = [_spec_initial(i, s) for i, s in enumerate(specs)]
     # Sub-stream counts vary with the fleet size; bulk-derive per count.
     counts = [2 + s.coordinator.n_sensors for s in specs]
     net_streams: List[List[np.random.Generator]] = [[]] * n_specs

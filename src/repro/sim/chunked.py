@@ -4,12 +4,17 @@ The adaptive controller (:mod:`repro.adaptive`) runs the simulation in
 *chunks*: simulate a block of slots, observe the gaps it produced,
 re-estimate the event model, possibly re-solve the policy, and continue
 — without restarting the trajectory.  :class:`ChunkedSimulator` supports
-that loop:
+that loop without a slot loop of its own: every chunk runs on the
+engine's one dispatch (:func:`repro.sim.engine._fallback_reason`) —
+the C scan when the policy is table-driven and a compiler is present,
+otherwise the reference loop :func:`repro.sim.engine._simulate_reference`
+resumed from the carried :class:`~repro.sim.engine.LoopState`.
 
 * **Battery, recency and event state persist across chunks.**  The
-  battery uses the same Skorokhod-reflected form as
-  :mod:`repro.sim.engine` (``cum``/``neg``/``shave``), so levels match
-  the monolithic engine's arithmetic slot for slot.
+  battery stays in the engine's Skorokhod-reflected form
+  (``cum``/``neg``/``shave``); ``cum`` is one ``np.cumsum`` over the
+  whole pre-drawn recharge stream, sequential and therefore equal to
+  the loop's running sum.
 * **Recharge and activation coins are pre-generated** for the full
   horizon at construction.  Chunking therefore cannot perturb them:
   a :class:`~repro.energy.solar.DiurnalRecharge` keeps its phase and a
@@ -24,11 +29,12 @@ that loop:
 * **Observations are returned per chunk**: completed true gaps (what a
   full-information sensor sees) and capture-to-capture gaps (all a
   partial-information sensor sees — each is a sum of >= 1 true gaps;
-  see :mod:`repro.adaptive.observer` for the deconvolution).
+  see :mod:`repro.adaptive.observer` for the deconvolution), both read
+  off the chunk's event and capture flags.
 * **Learning hooks**: a policy exposing ``observe_outcome(active,
   captured)`` (duck-typed — e.g. the L_R-I automaton) is called once
-  per slot after the outcome resolves, enabling per-slot learning
-  policies that the table fast path cannot serve.
+  per slot after the outcome resolves, through the reference loop's
+  per-slot callback; such policies never take the C scan.
 
 The per-chunk event draw order differs from ``generate_event_flags``
 (which batches over the whole horizon), so chunked trajectories are not
@@ -38,17 +44,18 @@ agree in distribution (tested statistically).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.policy import ActivationPolicy, InfoModel
+from repro.core.policy import ActivationPolicy
 from repro.devtools import telemetry
 from repro.energy.recharge import RechargeProcess
 from repro.events.base import InterArrivalDistribution
 from repro.exceptions import SimulationError
-from repro.sim import kernel
+from repro.sim import engine, kernel
+from repro.sim._native import require_native_scan
 from repro.sim.rng import SeedLike, make_rng, spawn
 
 __all__ = ["ChunkResult", "ChunkedSimulator"]
@@ -111,12 +118,9 @@ class ChunkedSimulator:
             raise SimulationError(
                 f"total_horizon must be >= 1, got {total_horizon}"
             )
-        if capacity < 0:
-            raise SimulationError(f"capacity must be >= 0, got {capacity}")
-        if delta1 < 0 or delta2 < 0:
-            raise SimulationError(
-                f"delta1/delta2 must be >= 0, got {delta1}, {delta2}"
-            )
+        initial = engine._check_run(
+            total_horizon, capacity, delta1, delta2, initial_energy
+        )
         self.capacity = float(capacity)
         self.delta1 = float(delta1)
         self.delta2 = float(delta2)
@@ -139,30 +143,21 @@ class ChunkedSimulator:
 
         rng = make_rng(seed)
         self._event_rng, recharge_rng, coin_rng = spawn(rng, 3)
-        self._recharge_list = recharge.sequence(
-            self.total_horizon, recharge_rng
-        ).tolist()
-        self._coins_list = coin_rng.random(self.total_horizon).tolist()
-
-        initial = (
-            self.capacity / 2.0
-            if initial_energy is None
-            else float(initial_energy)
-        )
-        if not 0 <= initial <= self.capacity:
-            raise SimulationError(
-                f"initial energy {initial} outside [0, {self.capacity}]"
-            )
+        self._recharge = recharge.sequence(self.total_horizon, recharge_rng)
+        self._cs = np.cumsum(self._recharge)  # cs[t] = cum after slot t+1
+        self._coins = coin_rng.random(self.total_horizon)
 
         self._distribution = distribution
-        # Reflected battery state (see sim.engine module docstring).
-        self._cum = 0.0
+        # Reflected battery state (see sim.engine module docstring); cum
+        # is read off self._cs.
         self._neg = initial
         self._shave = 0.0
         self._t = 0  # global slots simulated so far
-        self._recency = 1  # an event is assumed at slot 0
-        self._slots_since_event = 1  # age of the in-flight true gap
-        self._slots_since_capture = 1  # age of the in-flight captured gap
+        # Ages of the in-flight true and captured gaps (an event and a
+        # capture are assumed at slot 0).  They are also the FI and PI
+        # recency fed to the policy in the next slot.
+        self._since_event = 1
+        self._since_capture = 1
         # Countdown: the next event occurs this many slots from now.
         self._countdown = int(distribution.sample(self._event_rng, 1)[0])
         self.n_events = 0
@@ -175,7 +170,11 @@ class ChunkedSimulator:
     @property
     def battery(self) -> float:
         """Battery level after the last simulated slot."""
-        return (self._neg + self._cum) - self._shave
+        return (self._neg + self._cum()) - self._shave
+
+    def _cum(self) -> float:
+        """Cumulative recharge over the slots simulated so far."""
+        return float(self._cs[self._t - 1]) if self._t else 0.0
 
     @property
     def distribution(self) -> InterArrivalDistribution:
@@ -218,109 +217,68 @@ class ChunkedSimulator:
                 f"chunk of {n_slots} slots exceeds the {self.slots_remaining}"
                 f" remaining of total_horizon={self.total_horizon}"
             )
-        policy_full = policy.info_model == InfoModel.FULL
-        if policy_full != self.full_info:
+        start = self._t
+        end = start + n_slots
+        # Fast paths sized for the whole trajectory so far: the recency
+        # can reach `end`, and slot tables are indexed by global slot.
+        fast = kernel.policy_fast_paths(policy, end)
+        if fast.full_info != self.full_info:
             raise SimulationError(
                 "policy info model does not match the simulator's "
-                f"(policy={policy.info_model.value}, "
+                f"(policy={'full' if fast.full_info else 'partial'}, "
                 f"simulator={'full' if self.full_info else 'partial'})"
             )
-        observe = getattr(policy, "observe_outcome", None)
-        # Table fast path (recency-indexed policies); learning policies
-        # change their probabilities per slot, so they always take the
-        # per-slot call.
-        table_list: Optional[List[float]] = None
-        tail = 0.0
-        if observe is None:
-            fast = kernel.policy_fast_paths(policy, n_slots)
-            if fast.table is not None:
-                table_list = fast.table.tolist()
-                tail = fast.tail
-        table_size = 0 if table_list is None else len(table_list)
+        if fast.slot_probs is not None:
+            fast = replace(fast, slot_probs=fast.slot_probs[start:end])
+        events = self._chunk_events(n_slots)
+        recharge = self._recharge[start:end]
+        coins = self._coins[start:end]
+        recency = self._since_event if self.full_info else self._since_capture
+        captured = np.zeros(n_slots, dtype=np.uint8)
 
-        events_list = self._chunk_events(n_slots).tolist()
-        start = self._t
-        activation_cost = self.delta1 + self.delta2
-        cum, neg, shave = self._cum, self._neg, self._shave
-        recency = self._recency
-        since_event = self._slots_since_event
-        since_capture = self._slots_since_capture
-        n_events = 0
-        n_captures = 0
-        activations = 0
-        blocked = 0
-        true_gaps: List[int] = []
-        captured_gaps: List[int] = []
-        recharge_list = self._recharge_list
-        coins_list = self._coins_list
-        full_info = self.full_info
-
-        for i in range(n_slots):
-            g = start + i  # global slot index (0-based)
-            # 1. Recharge (clip at capacity via the running shave).
-            cum = cum + recharge_list[g]
-            pre = neg + cum
-            over = pre - self.capacity
-            if over > shave:
-                shave = over
-            battery = pre - shave
-
-            # 2. Activation decision.
-            if table_list is not None:
-                prob = (
-                    table_list[recency - 1]
-                    if recency <= table_size
-                    else tail
+        if engine._fallback_reason("chunked", fast, recharge) is None:
+            slot_mode = fast.slot_probs is not None
+            activations, n_captures, blocked, neg, shave, _ = (
+                require_native_scan().scan(
+                    self._cs[start:end], events, coins,
+                    fast.slot_probs if slot_mode else fast.table, fast.tail,
+                    slot_mode, self.full_info, self.capacity, self.delta1,
+                    self.delta2, self._neg, compute_aoi=False,
+                    initial_shave=self._shave, initial_recency=recency,
+                    out_captured=captured,
                 )
-            else:
-                prob = policy.activation_probability(g + 1, recency)
-            wants_active = coins_list[g] < prob
-            if wants_active and battery < activation_cost:
-                blocked += 1
-                wants_active = False
+            )
+        else:
+            observe = fast.observe
 
-            # 3. Event arrival and capture.
-            event = events_list[i]
-            captured = False
-            if event:
-                n_events += 1
-            if wants_active:
-                activations += 1
-                if event:
-                    captured = True
-                    n_captures += 1
-                    neg = neg - activation_cost
-                else:
-                    neg = neg - self.delta1
-            if observe is not None:
-                observe(wants_active, captured)
+            def on_slot(
+                t: int, recency: int, prob: float, active: bool,
+                hit: bool, battery: float, after: float, shave: float,
+            ) -> None:
+                if hit:
+                    captured[t - 1] = 1
+                if observe is not None:
+                    observe(active, hit)
 
-            # Observation bookkeeping: a gap completes when its closing
-            # arrival happens.
-            if event:
-                true_gaps.append(since_event)
-                since_event = 1
-            else:
-                since_event += 1
-            if captured:
-                captured_gaps.append(since_capture)
-                since_capture = 1
-            else:
-                # Missed events still age the capture gap — that is the
-                # censoring the PI observer must undo.
-                since_capture += 1
+            result, state = engine._simulate_reference(
+                policy, fast, events, recharge, coins, self.capacity,
+                self.delta1, self.delta2, n_slots, self._neg,
+                collect_aoi=False,
+                state=engine.LoopState(
+                    self._cum(), self._neg, self._shave, recency, start
+                ),
+                on_slot=on_slot,
+            )
+            activations, n_captures = result.total_activations, result.n_captures
+            blocked = result.sensors[0].blocked_slots
+            neg, shave = state.neg, state.shave
 
-            # 4. Recency update for the next slot.
-            if full_info:
-                recency = 1 if event else recency + 1
-            else:
-                recency = 1 if captured else recency + 1
-
-        self._cum, self._neg, self._shave = cum, neg, shave
-        self._recency = recency
-        self._slots_since_event = since_event
-        self._slots_since_capture = since_capture
-        self._t = start + n_slots
+        true_gaps, self._since_event = _closed_gaps(events, self._since_event)
+        captured_gaps, self._since_capture = _closed_gaps(
+            captured, self._since_capture
+        )
+        n_events = int(true_gaps.size)
+        self._neg, self._shave, self._t = neg, shave, end
         self.n_events += n_events
         self.n_captures += n_captures
         return ChunkResult(
@@ -329,7 +287,21 @@ class ChunkedSimulator:
             n_captures=n_captures,
             activations=activations,
             blocked_slots=blocked,
-            true_gaps=np.asarray(true_gaps, dtype=np.int64),
-            captured_gaps=np.asarray(captured_gaps, dtype=np.int64),
-            final_battery=(neg + cum) - shave,
+            true_gaps=true_gaps,
+            captured_gaps=captured_gaps,
+            final_battery=self.battery,
         )
+
+
+def _closed_gaps(flags: np.ndarray, age: int) -> Tuple[np.ndarray, int]:
+    """Gaps closed at the flagged slots of a chunk, and the open gap's age.
+
+    ``age`` is the length the open gap would have if the chunk's first
+    slot closed it (1 right after a closing slot); the returned age
+    continues it past the chunk.
+    """
+    slots = np.flatnonzero(flags).astype(np.int64)
+    if slots.size == 0:
+        return slots, age + flags.size
+    gaps = slots - np.concatenate(([-age], slots[:-1]))
+    return gaps, int(flags.size - slots[-1])

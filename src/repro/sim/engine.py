@@ -35,11 +35,18 @@ the Skorokhod-reflection solution of the clip recursion: exactly equal in
 real arithmetic, and — because every term is a plain sequential sum — a
 form the C scan (and ``np.cumsum`` for ``cum``) reproduces
 operation-for-operation in floating point.
+
+:func:`_simulate_reference` is the single-sensor model's only per-slot
+Python loop.  It serves :func:`simulate_single`, ``simulate_batch``,
+:class:`~repro.sim.chunked.ChunkedSimulator` (resumed per chunk from a
+:class:`LoopState`) and :func:`~repro.sim.trace.trace_single` (through
+its ``on_slot`` callback); :func:`_fallback_reason` picks it or the scan.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -50,12 +57,78 @@ from repro.events.base import InterArrivalDistribution
 from repro.events.renewal import generate_event_flags
 from repro.exceptions import SimulationError
 from repro.sim import kernel
-from repro.sim.kernel import _TABLE_SLOTS  # noqa: F401  (compat re-export)
-from repro.sim.metrics import AoIStats, SensorStats, SimulationResult
+from repro.sim.metrics import AoIStats, SimulationResult
 from repro.sim.rng import SeedLike, make_rng, spawn
 
 #: Valid values of the ``backend`` argument.
 BACKENDS = ("auto", "reference", "vectorized")
+
+#: ``on_slot(t, recency, prob, active, captured, battery, battery_after,
+#: shave)``: ``t`` is the 1-based slot of the call, ``battery`` the level
+#: the decision saw, ``shave`` the total overflow so far.
+SlotCallback = Callable[[int, int, float, bool, bool, float, float, float], None]
+
+
+@dataclass(frozen=True)
+class LoopState:
+    """The reflected battery, next recency and slots done of a run."""
+
+    cum: float
+    neg: float
+    shave: float = 0.0
+    recency: int = 1
+    start: int = 0
+
+
+def _check_run(
+    horizon: int, capacity: float, delta1: float, delta2: float,
+    initial_energy: Optional[float],
+) -> float:
+    """Check the arguments every run shares; return the initial level."""
+    if horizon < 0:
+        raise SimulationError(f"horizon must be >= 0, got {horizon}")
+    if capacity < 0:
+        raise SimulationError(f"capacity must be >= 0, got {capacity}")
+    if delta1 < 0 or delta2 < 0:
+        raise SimulationError(
+            f"delta1/delta2 must be >= 0, got {delta1}, {delta2}"
+        )
+    initial = capacity / 2.0 if initial_energy is None else float(initial_energy)
+    if not 0 <= initial <= capacity:
+        raise SimulationError(
+            f"initial energy {initial} outside [0, {capacity}]"
+        )
+    return initial
+
+
+def _draw(
+    distribution: InterArrivalDistribution, recharge: RechargeProcess,
+    horizon: int, seed: SeedLike,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Events, recharge and coins from ``seed``'s three sub-streams."""
+    event_rng, recharge_rng, coin_rng = spawn(make_rng(seed), 3)
+    events = generate_event_flags(distribution, horizon, event_rng)
+    amounts = recharge.sequence(horizon, recharge_rng)
+    return events, amounts, coin_rng.random(horizon)
+
+
+def _fallback_reason(
+    entry: str, fast: kernel.PolicyFastPaths, recharge_amounts: np.ndarray,
+    backend: str = "auto", collect_battery_trace: bool = False,
+) -> Optional[str]:
+    """Why ``entry`` runs the reference loop (recorded); None for the scan.
+
+    Raises instead for ``backend="vectorized"``.
+    """
+    reason = kernel.ineligibility_reason(
+        fast, recharge_amounts, collect_battery_trace
+    )
+    if reason is not None:
+        if backend == "vectorized":
+            raise SimulationError(f"vectorized backend unavailable: {reason}")
+        telemetry.count("sim.fallback.reference")
+        telemetry.event("backend_fallback", entry=entry, reason=reason)
+    return reason
 
 
 def _record_run(
@@ -118,124 +191,85 @@ def simulate_single(
         raise SimulationError(
             f"backend must be one of {BACKENDS}, got {backend!r}"
         )
-    if horizon < 0:
-        raise SimulationError(f"horizon must be >= 0, got {horizon}")
-    if capacity < 0:
-        raise SimulationError(f"capacity must be >= 0, got {capacity}")
-    if delta1 < 0 or delta2 < 0:
-        raise SimulationError(
-            f"delta1/delta2 must be >= 0, got {delta1}, {delta2}"
-        )
-    rng = make_rng(seed)
-    event_rng, recharge_rng, coin_rng = spawn(rng, 3)
-
-    events = generate_event_flags(distribution, horizon, event_rng)
-    recharge_amounts = recharge.sequence(horizon, recharge_rng)
-    coins = coin_rng.random(horizon)
+    initial = _check_run(horizon, capacity, delta1, delta2, initial_energy)
+    events, recharge_amounts, coins = _draw(
+        distribution, recharge, horizon, seed
+    )
 
     # Policy fast paths: a recency table, a slot table, or a per-slot
     # call (battery-aware policies always take the per-slot call so they
     # can see the current level).  Resolved by the shared RL015 gate so
     # the batch packer dispatches on exactly the same rule.
     fast = kernel.policy_fast_paths(policy, horizon)
-    table = fast.table
-    tail = fast.tail
-    slot_probs = fast.slot_probs
-    battery_aware = fast.battery_aware
 
-    full_info = fast.full_info
-    initial = capacity / 2.0 if initial_energy is None else float(initial_energy)
-    if not 0 <= initial <= capacity:
-        raise SimulationError(
-            f"initial energy {initial} outside [0, {capacity}]"
+    if backend != "reference" and _fallback_reason(
+        "simulate_single", fast, recharge_amounts, backend,
+        collect_battery_trace,
+    ) is None:
+        _record_run(
+            "vectorized", policy, capacity, delta1, delta2, horizon, seed
         )
-
-    if backend != "reference":
-        reason = kernel.ineligibility_reason(
-            battery_aware=battery_aware,
-            collect_battery_trace=collect_battery_trace,
-            has_table=table is not None,
-            has_slot_probs=slot_probs is not None,
-            recharge_amounts=recharge_amounts,
-        )
-        if reason is None:
-            _record_run(
-                "vectorized", policy, capacity, delta1, delta2, horizon, seed
+        with telemetry.timed("sim.simulate_single.vectorized"):
+            return kernel.simulate_kernel(
+                fast, events, recharge_amounts, coins, float(capacity),
+                float(delta1), float(delta2), horizon, initial, collect_aoi,
             )
-            with telemetry.timed("sim.simulate_single.vectorized"):
-                return kernel.simulate_kernel(
-                    events=events,
-                    recharge_amounts=recharge_amounts,
-                    coins=coins,
-                    table=table,
-                    tail=tail,
-                    slot_probs=slot_probs,
-                    full_info=full_info,
-                    capacity=float(capacity),
-                    delta1=float(delta1),
-                    delta2=float(delta2),
-                    horizon=horizon,
-                    initial=initial,
-                    collect_aoi=collect_aoi,
-                )
-        if backend == "vectorized":
-            raise SimulationError(
-                f"vectorized backend unavailable: {reason}"
-            )
-        telemetry.count("sim.fallback.reference")
-        telemetry.event(
-            "backend_fallback", entry="simulate_single", reason=reason
-        )
 
     _record_run("reference", policy, capacity, delta1, delta2, horizon, seed)
     return _simulate_reference(
-        policy=policy,
-        events=events,
-        recharge_amounts=recharge_amounts,
-        coins=coins,
-        table=table,
-        tail=tail,
-        slot_probs=slot_probs,
-        battery_aware=battery_aware,
-        full_info=full_info,
-        capacity=float(capacity),
-        delta1=float(delta1),
-        delta2=float(delta2),
-        horizon=horizon,
-        initial=initial,
-        collect_battery_trace=collect_battery_trace,
-        collect_aoi=collect_aoi,
-    )
+        policy, fast, events, recharge_amounts, coins, float(capacity),
+        float(delta1), float(delta2), horizon, initial,
+        collect_battery_trace, collect_aoi,
+    )[0]
 
 
 def _simulate_reference(
     policy: ActivationPolicy,
+    fast: kernel.PolicyFastPaths,
     events: np.ndarray,
     recharge_amounts: np.ndarray,
     coins: np.ndarray,
-    table: Optional[np.ndarray],
-    tail: float,
-    slot_probs: Optional[np.ndarray],
-    battery_aware: bool,
-    full_info: bool,
     capacity: float,
     delta1: float,
     delta2: float,
     horizon: int,
     initial: float,
-    collect_battery_trace: bool,
+    collect_battery_trace: bool = False,
     collect_aoi: bool = True,
-) -> SimulationResult:
-    """The bit-exact per-slot reference loop (reflected battery form)."""
+    state: Optional[LoopState] = None,
+    on_slot: Optional[SlotCallback] = None,
+) -> Tuple[SimulationResult, LoopState]:
+    """The bit-exact per-slot reference loop (reflected battery form).
+
+    The arrays (and ``fast.slot_probs``) hold the ``horizon`` slots of
+    this call.  ``state`` resumes a trajectory where an earlier call left it
+    (``initial`` is then unused); the returned state continues it.
+    Counters cover this call; the energy fields are carried totals, and
+    AoI (``collect_aoi``) and battery traces assume a fresh start.
+    ``on_slot`` (see :data:`SlotCallback`) runs after each slot's
+    capture, before the recency update.
+    """
     activation_cost = delta1 + delta2  # decision threshold (Sec. III-A)
     cost_capture = delta1 + delta2
+    table, tail, slot_probs = fast.table, fast.tail, fast.slot_probs
+    battery_aware, full_info = fast.battery_aware, fast.full_info
     table_size = 0 if table is None else table.size
 
     n_events = 0
     n_captures = 0
     activations = 0
     blocked = 0
-    trace = np.empty(horizon) if collect_battery_trace else None
+    trace: Optional[np.ndarray] = None
+    if collect_battery_trace:
+        trace = levels = np.empty(horizon)
+
+        def record_level(
+            t: int, recency: int, prob: float, active: bool,
+            captured: bool, battery: float, after: float, shave: float,
+        ) -> None:
+            levels[t - 1] = after
+
+        on_slot = record_level
 
     # Age-of-Information accumulators: a capture at slot t closes a gap
     # of g = t - last_capture slots whose end-of-slot ages are
@@ -249,11 +283,11 @@ def _simulate_reference(
 
     # Reflected battery state (see module docstring): the level before
     # each decision is (neg + cum) - shave.
-    cum = 0.0
-    neg = initial
-    shave = 0.0
+    if state is None:
+        state = LoopState(cum=0.0, neg=initial)
+    cum, neg, shave, recency = state.cum, state.neg, state.shave, state.recency
+    offset = state.start  # slot t of this call is slot t + offset overall
 
-    recency = 1  # an event occurred at slot 0
     events_list = events.tolist()
     recharge_list = recharge_amounts.tolist()
     coins_list = coins.tolist()
@@ -276,10 +310,10 @@ def _simulate_reference(
             prob = slot_list[t - 1]
         elif battery_aware:
             prob = policy.activation_probability_with_battery(
-                t, recency, battery, capacity
+                t + offset, recency, battery, capacity
             )
         else:
-            prob = policy.activation_probability(t, recency)
+            prob = policy.activation_probability(t + offset, recency)
         wants_active = coins_list[t - 1] < prob
         if wants_active and battery < activation_cost:
             blocked += 1
@@ -305,8 +339,11 @@ def _simulate_reference(
             else:
                 neg = neg - delta1
 
-        if trace is not None:
-            trace[t - 1] = (neg + cum) - shave
+        if on_slot is not None:
+            on_slot(
+                t, recency, prob, wants_active, captured, battery,
+                (neg + cum) - shave, shave,
+            )
 
         # 4. Recency update for the next slot.
         if full_info:
@@ -329,21 +366,8 @@ def _simulate_reference(
             n_resets=n_captures,
             horizon=horizon,
         )
-    stats = SensorStats(
-        activations=activations,
-        captures=n_captures,
-        energy_harvested=cum,
-        energy_consumed=activations * delta1 + n_captures * delta2,
-        energy_overflow=shave,
-        blocked_slots=blocked,
-        final_battery=(neg + cum) - shave,
-        last_capture_slot=last_capture if collect_aoi else 0,
+    result = kernel._result(
+        activations, n_captures, blocked, n_events, neg, shave, cum,
+        delta1, delta2, horizon, aoi=aoi, battery_trace=trace,
     )
-    return SimulationResult(
-        horizon=horizon,
-        n_events=n_events,
-        n_captures=n_captures,
-        sensors=(stats,),
-        battery_trace=trace,
-        aoi=aoi,
-    )
+    return result, LoopState(cum, neg, shave, recency, offset + horizon)

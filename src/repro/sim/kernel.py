@@ -24,7 +24,7 @@ receives the exact arrays (events, recharge, coins) that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,7 +53,8 @@ class PolicyFastPaths:
 
     Exactly one of ``table``/``slot_probs`` is set for table-driven
     policies; both are ``None`` when the policy needs per-slot calls
-    (battery-aware policies always do, so they can see the level).
+    (battery-aware policies always do, so they can see the level, and
+    so do learners, whose ``observe`` hook runs after every slot).
     """
 
     table: Optional[np.ndarray]
@@ -61,21 +62,25 @@ class PolicyFastPaths:
     slot_probs: Optional[np.ndarray]
     battery_aware: bool
     full_info: bool
+    observe: Optional[Callable[[bool, bool], None]] = None
 
 
 def policy_fast_paths(policy: ActivationPolicy, horizon: int) -> PolicyFastPaths:
     """Resolve the policy's fast paths for one run (RL015 gate).
 
     This is the single place the scan layers read policy attributes:
-    the engine, the single-run kernel and the batch packer all dispatch
-    on the result, so the eligibility decision cannot drift from what
-    the scans actually consume.
+    the engine, the single-run kernel, the chunked simulator and the
+    batch packer all dispatch on the result, so the eligibility
+    decision cannot drift from what the scans actually consume.
+    ``observe`` is the policy's per-slot ``observe_outcome(active,
+    captured)`` learning hook, if it has one (only chunked runs call it).
     """
     table: Optional[np.ndarray] = None
     tail = 0.0
     slot_probs: Optional[np.ndarray] = None
     battery_aware = bool(getattr(policy, "battery_aware", False))
-    if not battery_aware:
+    observe = getattr(policy, "observe_outcome", None)
+    if not battery_aware and observe is None:
         recency_fast = policy.recency_probabilities(min(horizon, _TABLE_SLOTS))
         if recency_fast is not None:
             table, tail = recency_fast
@@ -87,15 +92,14 @@ def policy_fast_paths(policy: ActivationPolicy, horizon: int) -> PolicyFastPaths
         slot_probs=slot_probs,
         battery_aware=battery_aware,
         full_info=policy.info_model == InfoModel.FULL,
+        observe=observe,
     )
 
 
 def ineligibility_reason(
-    battery_aware: bool,
-    collect_battery_trace: bool,
-    has_table: bool,
-    has_slot_probs: bool,
+    fast: PolicyFastPaths,
     recharge_amounts: np.ndarray,
+    collect_battery_trace: bool = False,
 ) -> Optional[str]:
     """Why this configuration cannot use the kernel; None when it can.
 
@@ -103,11 +107,13 @@ def ineligibility_reason(
     express is reported as such on every host; the last reason is a
     missing C scan.
     """
-    if battery_aware:
+    if fast.battery_aware:
         return "policy is battery-aware (needs per-slot battery feedback)"
+    if fast.observe is not None:
+        return "policy learns per slot (observe_outcome runs in the loop)"
     if collect_battery_trace:
         return "battery traces are collected by the reference loop only"
-    if not (has_table or has_slot_probs):
+    if fast.table is None and fast.slot_probs is None:
         return (
             "policy provides neither a recency table nor slot "
             "probabilities (per-slot policy calls need the reference loop)"
@@ -120,13 +126,10 @@ def ineligibility_reason(
 
 
 def simulate_kernel(
+    fast: PolicyFastPaths,
     events: np.ndarray,
     recharge_amounts: np.ndarray,
     coins: np.ndarray,
-    table: Optional[np.ndarray],
-    tail: float,
-    slot_probs: Optional[np.ndarray],
-    full_info: bool,
     capacity: float,
     delta1: float,
     delta2: float,
@@ -149,13 +152,11 @@ def simulate_kernel(
     native = require_native_scan()
     telemetry.count("kernel.scan.native")
     cs = np.cumsum(recharge_amounts)  # sequential, matches the scalar sum
-    if slot_probs is not None:
-        probs, slot_mode = np.asarray(slot_probs, dtype=np.float64), True
-    else:
-        probs, slot_mode = np.asarray(table, dtype=np.float64), False
+    slot_mode = fast.slot_probs is not None
     activations, captures, blocked, neg, shave, raw_aoi = native.scan(
-        cs, events, coins, probs, float(tail), slot_mode, full_info,
-        capacity, delta1, delta2, initial, compute_aoi=collect_aoi,
+        cs, events, coins, fast.slot_probs if slot_mode else fast.table,
+        fast.tail, slot_mode, fast.full_info, capacity, delta1, delta2,
+        initial, compute_aoi=collect_aoi,
     )
     aoi: Optional[AoIStats] = None
     if collect_aoi:
@@ -186,6 +187,7 @@ def _result(
     delta2: float,
     horizon: int,
     aoi: Optional[AoIStats] = None,
+    battery_trace: Optional[np.ndarray] = None,
 ) -> SimulationResult:
     """Assemble the result from final reflected state (engine formulas)."""
     stats = SensorStats(
@@ -203,6 +205,6 @@ def _result(
         n_events=n_events,
         n_captures=captures,
         sensors=(stats,),
-        battery_trace=None,
+        battery_trace=battery_trace,
         aoi=aoi,
     )

@@ -41,7 +41,7 @@ from repro.energy.recharge import RechargeProcess
 from repro.events.base import InterArrivalDistribution
 from repro.events.renewal import generate_event_flags
 from repro.exceptions import SimulationError
-from repro.sim.engine import BACKENDS
+from repro.sim.engine import BACKENDS, _check_run
 from repro.sim.metrics import AoIStats, SensorStats, SimulationResult
 from repro.sim.parallel import parallel_map, resolve_n_jobs
 from repro.sim.rng import SeedLike, make_rng, spawn
@@ -75,10 +75,7 @@ def simulate_network(
         raise SimulationError(
             f"backend must be one of {BACKENDS}, got {backend!r}"
         )
-    if horizon < 0:
-        raise SimulationError(f"horizon must be >= 0, got {horizon}")
-    if capacity < 0:
-        raise SimulationError(f"capacity must be >= 0, got {capacity}")
+    start = _check_run(horizon, capacity, delta1, delta2, initial_energy)
     n = coordinator.n_sensors
     rng = make_rng(seed)
     event_rng, coin_rng, *recharge_rngs = spawn(rng, 2 + n)
@@ -91,10 +88,6 @@ def simulate_network(
             for r in recharge_rngs
         ]
     )
-
-    start = capacity / 2.0 if initial_energy is None else float(initial_energy)
-    if not 0 <= start <= capacity:
-        raise SimulationError(f"initial energy {start} outside [0, {capacity}]")
 
     coordinator.reset()
 

@@ -49,7 +49,7 @@ from repro.sim._native import (
     get_native_scan,
     require_native_scan,
 )
-from repro.sim.engine import _TABLE_SLOTS
+from repro.sim.kernel import _TABLE_SLOTS
 from repro.sim.metrics import (
     AoIStats,
     SensorStats,

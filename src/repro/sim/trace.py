@@ -1,10 +1,13 @@
 """Structured per-slot simulation traces (debugging / inspection).
 
 The main engine keeps only aggregates for speed.  For debugging a policy
-or producing a figure of one run, :func:`trace_single` executes the same
-Fig. 1 slot semantics while recording every transition, and
-:func:`summarize_trace` reduces a trace back to the aggregate counters
-(tests assert it matches the fast engine exactly).
+or producing a figure of one run, :func:`trace_single` runs the engine's
+reference loop (:func:`repro.sim.engine._simulate_reference`, the one
+per-slot loop of the single-sensor model) and records every slot through
+its ``on_slot`` callback, so a trace is the engine's run itself, not a
+re-implementation of it.  :func:`summarize_trace` reduces a trace back
+to the aggregate counters (tests assert they equal
+:func:`repro.sim.simulate_single`'s with ``==``).
 """
 
 from __future__ import annotations
@@ -12,17 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.policy import ActivationPolicy, InfoModel
+from repro.core.policy import ActivationPolicy
 from repro.energy.recharge import RechargeProcess
 from repro.events.base import InterArrivalDistribution
-from repro.events.renewal import generate_event_flags
-from repro.exceptions import SimulationError
+from repro.sim import engine, kernel
 from repro.sim.metrics import (
     SensorStats,
     SimulationResult,
     aoi_from_capture_slots,
 )
-from repro.sim.rng import SeedLike, make_rng, spawn
+from repro.sim.rng import SeedLike
 
 
 @dataclass(frozen=True)
@@ -56,61 +58,51 @@ def trace_single(
 ) -> list[SlotRecord]:
     """Run the slot loop, returning the full per-slot record list.
 
-    Uses the same sub-stream layout as :func:`repro.sim.simulate_single`,
-    so a trace with the same seed replays exactly the fast engine's run.
+    Checks its arguments, draws its sub-streams and resolves the policy
+    exactly as :func:`repro.sim.simulate_single` does, then runs the
+    engine's reference loop, so a trace with the same seed replays the
+    engine's run slot for slot (battery-aware policies included).
+    ``overflow`` is the slot's increment of the engine's running
+    overflow total.
     """
-    if horizon < 0:
-        raise SimulationError(f"horizon must be >= 0, got {horizon}")
-    if capacity < 0:
-        raise SimulationError(f"capacity must be >= 0, got {capacity}")
-    rng = make_rng(seed)
-    event_rng, recharge_rng, coin_rng = spawn(rng, 3)
-    events = generate_event_flags(distribution, horizon, event_rng)
-    amounts = recharge.sequence(horizon, recharge_rng)
-    coins = coin_rng.random(horizon)
-
-    battery = capacity / 2.0 if initial_energy is None else float(initial_energy)
-    if not 0 <= battery <= capacity:
-        raise SimulationError(f"initial energy {battery} outside [0, {capacity}]")
-    full_info = policy.info_model == InfoModel.FULL
-    activation_cost = delta1 + delta2
-
+    initial = engine._check_run(
+        horizon, capacity, delta1, delta2, initial_energy
+    )
+    events, amounts, coins = engine._draw(distribution, recharge, horizon, seed)
+    fast = kernel.policy_fast_paths(policy, horizon)
+    events_list, amounts_list = events.tolist(), amounts.tolist()
+    coins_list = coins.tolist()
     records: list[SlotRecord] = []
-    recency = 1
-    for t in range(1, horizon + 1):
-        amount = float(amounts[t - 1])
-        raised = battery + amount
-        overflow = max(raised - capacity, 0.0)
-        battery = min(raised, capacity)
-        battery_before = battery
-        probability = policy.activation_probability(t, recency)
-        wanted = bool(coins[t - 1] < probability)
-        blocked = wanted and battery < activation_cost
-        active = wanted and not blocked
-        event = bool(events[t - 1])
-        captured = active and event
-        if active:
-            battery -= delta1 + (delta2 if captured else 0.0)
+    last_shave = 0.0
+
+    def record(
+        t: int, recency: int, prob: float, active: bool, captured: bool,
+        battery: float, after: float, shave: float,
+    ) -> None:
+        nonlocal last_shave
+        wanted = coins_list[t - 1] < prob
         records.append(
             SlotRecord(
                 slot=t,
                 recency=recency,
-                recharge=amount,
-                overflow=overflow,
-                battery_before=battery_before,
-                probability=float(probability),
+                recharge=amounts_list[t - 1],
+                overflow=shave - last_shave,
+                battery_before=battery,
+                probability=float(prob),
                 wanted_active=wanted,
-                blocked=blocked,
+                blocked=wanted and not active,
                 active=active,
-                event=event,
+                event=events_list[t - 1],
                 captured=captured,
-                battery_after=battery,
+                battery_after=after,
             )
         )
-        if full_info:
-            recency = 1 if event else recency + 1
-        else:
-            recency = 1 if captured else recency + 1
+        last_shave = shave
+
+    engine._simulate_reference(
+        policy, fast, events, amounts, coins, float(capacity), float(delta1),
+        float(delta2), horizon, initial, collect_aoi=False, on_slot=record,
+    )
     return records
 
 

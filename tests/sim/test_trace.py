@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import AggressivePolicy, solve_greedy
+from repro.core import AggressivePolicy, OverflowGuardPolicy, solve_greedy
 from repro.energy import BernoulliRecharge, ConstantRecharge
 from repro.events import DeterministicInterArrival
 from repro.exceptions import SimulationError
@@ -13,16 +13,34 @@ from repro.sim import simulate_single, summarize_trace, trace_single
 DELTA1, DELTA2 = 1.0, 6.0
 
 
+def _guarded(weibull):
+    return OverflowGuardPolicy(solve_greedy(weibull, 0.3, DELTA1, DELTA2).as_policy())
+
+
 class TestTraceReplaysEngine:
-    @pytest.mark.parametrize("seed", [0, 7, 42])
-    def test_aggregates_match_fast_engine(self, weibull, seed):
+    @pytest.mark.parametrize(
+        "make_policy, recharge, seed",
+        [
+            (lambda w: AggressivePolicy(), BernoulliRecharge(0.5, 1.0), 0),
+            (lambda w: AggressivePolicy(), BernoulliRecharge(0.5, 1.0), 7),
+            (lambda w: AggressivePolicy(), BernoulliRecharge(0.5, 1.0), 42),
+            # Non-dyadic amounts: a clipped level and the reflected form
+            # round differently, so only the engine's arithmetic matches.
+            (lambda w: AggressivePolicy(), BernoulliRecharge(0.37, 0.7), 0),
+            # Battery-aware: the trace must feed the level to the policy.
+            (_guarded, BernoulliRecharge(0.5, 1.0), 3),
+        ],
+        ids=["0", "7", "42", "non-dyadic", "overflow-guard"],
+    )
+    def test_aggregates_match_fast_engine(
+        self, weibull, make_policy, recharge, seed
+    ):
         """Same seed -> identical counters between trace and engine."""
         kwargs = dict(
             capacity=80.0, delta1=DELTA1, delta2=DELTA2,
             horizon=5_000, seed=seed,
         )
-        policy = AggressivePolicy()
-        recharge = BernoulliRecharge(0.5, 1.0)
+        policy = make_policy(weibull)
         fast = simulate_single(weibull, policy, recharge, **kwargs)
         slow = summarize_trace(
             trace_single(weibull, policy, recharge, **kwargs), 80.0
@@ -31,12 +49,11 @@ class TestTraceReplaysEngine:
         assert slow.n_captures == fast.n_captures
         assert slow.total_activations == fast.total_activations
         assert slow.sensors[0].blocked_slots == fast.sensors[0].blocked_slots
-        assert slow.sensors[0].final_battery == pytest.approx(
-            fast.sensors[0].final_battery
+        assert slow.sensors[0].final_battery == fast.sensors[0].final_battery
+        assert (
+            slow.sensors[0].energy_overflow == fast.sensors[0].energy_overflow
         )
-        assert slow.sensors[0].energy_overflow == pytest.approx(
-            fast.sensors[0].energy_overflow
-        )
+        assert slow.aoi == fast.aoi
 
     def test_greedy_policy_replay(self, weibull):
         policy = solve_greedy(weibull, 0.5, DELTA1, DELTA2).as_policy()
@@ -91,12 +108,22 @@ class TestRecordSemantics:
                 assert r.active and r.event
 
     def test_invalid_configuration(self, weibull):
-        with pytest.raises(SimulationError):
-            trace_single(
-                weibull, AggressivePolicy(), ConstantRecharge(0.5),
-                capacity=-1, delta1=DELTA1, delta2=DELTA2,
+        """The trace rejects exactly what simulate_single rejects."""
+        for bad in (
+            dict(capacity=-1), dict(delta1=-1.0), dict(delta2=-1.0),
+            dict(horizon=-1), dict(initial_energy=81.0),
+        ):
+            kwargs = dict(
+                capacity=80.0, delta1=DELTA1, delta2=DELTA2,
                 horizon=10, seed=0,
             )
+            kwargs.update(bad)
+            for run in (trace_single, simulate_single):
+                with pytest.raises(SimulationError):
+                    run(
+                        weibull, AggressivePolicy(), ConstantRecharge(0.5),
+                        **kwargs,
+                    )
 
     def test_empty_trace_summary(self):
         result = summarize_trace([], 50.0)
