@@ -34,16 +34,22 @@ Heavy-tailed gap distributions (Pareto) make the survival decay only
 polynomially, so the analysis streams the DP and closes the cycle with an
 explicit tail estimate instead of iterating until the survival underflows.
 
-Performance architecture (see DESIGN.md):
+Performance architecture (see DESIGN.md §9):
 
-* ``_HazardStepper`` tracks the *live window* of ``w``: whenever a slot
-  produces no missed-event birth (``c_t = 1`` — the aggressive recovery
-  tail — or zero event mass), the age distribution only shifts, so the
-  leading entries stay exactly zero and are skipped.  In the recovery
-  region the per-slot cost drops from ``O(t)`` to ``O(window)``.
-* ``step_block`` advances many slots per call for a constant activation
-  probability, hoisting the Python-level overhead out of the hot loop;
-  :class:`PartialInfoSolver` feeds it maximal constant-``c`` runs.
+* The DP's per-slot loop runs in C (``repro_pi_advance``, compiled into
+  the one :mod:`repro.sim._native` library): one call advances a cycle
+  from its state to the next checkpoint mark, tail closure, exhaustion
+  or ``max_horizon``, writing survival and ``beta_hat`` into buffers the
+  caller owns.  It reproduces numpy's pairwise summation order and the
+  reference's operation order, so its results are ``==`` to the numpy
+  reference (``_HazardStepper.step_block`` plus the accumulators of
+  ``_CycleStream``).  Without a C compiler the reference runs and the
+  fallback is recorded (``analysis.fallback.reference``).
+* Both paths track the *live window* of ``w``: whenever a slot produces
+  no missed-event birth (``c_t = 1`` — the aggressive recovery tail — or
+  zero event mass), the age distribution only shifts, so the leading
+  entries stay exactly zero and are skipped.  In the recovery region
+  the per-slot cost drops from ``O(t)`` to ``O(window)``.
 * ``snapshot()`` / ``restore()`` checkpoint the DP state so policies
   sharing an activation prefix (the bisection over the clustering
   boundary scale; structures sharing ``(n1, n2)``) fork the prefix
@@ -63,15 +69,17 @@ import struct
 import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.devtools import telemetry
 from repro.events.base import InterArrivalDistribution
 from repro.exceptions import PolicyError
 from repro.store import MemoryLRU, TieredStore
+
+if TYPE_CHECKING:
+    from repro.sim._native import NativeScan
 
 #: Relative tail mass at which the capture cycle is considered resolved.
 DEFAULT_TAIL_REL_EPS = 1e-5
@@ -82,11 +90,13 @@ DEFAULT_MAX_HORIZON = 200_000
 #: Slots advanced per blocked call in the constant-activation tail.
 _TAIL_BLOCK = 1024
 
-#: Matrix-cell budget for the no-birth fast path (bounds temp memory).
-_FAST_CELLS = 1 << 18
+#: Initial length of a streamed cycle's survival/beta_hat buffers
+#: (doubled whenever the cycle runs past them).
+_OUT_MIN = 1024
 
-#: Minimum block length worth the matrix set-up cost.
-_FAST_MIN = 16
+#: How one DP segment ended (the return codes of ``repro_pi_advance``):
+#: the requested slot, tail closure, or an exhausted age mass.
+_REACHED, _CLOSED, _EXHAUSTED = 0, 1, 2
 
 #: Caps for the process-wide analysis memo (LRU eviction).  A full
 #: optimizer search touches a few thousand distinct (policy, tolerance)
@@ -110,16 +120,24 @@ def expand_activation(
     (1.0 models the paper's "aggressive" recovery tail).
     """
     arr = np.asarray(activation, dtype=float)
-    if arr.ndim != 1:
-        raise PolicyError("activation vector must be 1-D")
-    if (arr.size and (arr.min() < -1e-12 or arr.max() > 1 + 1e-12)) or not (
-        -1e-12 <= tail <= 1 + 1e-12
-    ):
-        raise PolicyError("activation probabilities must lie in [0, 1]")
+    _check_activation(arr, tail)
     out = np.full(horizon, float(np.clip(tail, 0.0, 1.0)))
     n = min(arr.size, horizon)
     out[:n] = np.clip(arr[:n], 0.0, 1.0)
     return out
+
+
+def _check_activation(arr: np.ndarray, tail: float) -> None:
+    """Reject a vector that is not 1-D, or values (or a ``tail``) that are
+    not finite or lie outside [0, 1] by more than 1e-12 (those within
+    are clipped)."""
+    if arr.ndim != 1:
+        raise PolicyError("activation vector must be 1-D")
+    low, high = -1e-12, 1 + 1e-12
+    if not (np.all((arr >= low) & (arr <= high)) and low <= tail <= high):
+        raise PolicyError(
+            "activation probabilities must be finite and lie in [0, 1]"
+        )
 
 
 @dataclass(frozen=True)
@@ -195,25 +213,27 @@ class _HazardStepper:
     ``step(c_t)`` returns ``(s_t, beta_hat_t)`` for the next slot ``t``
     (starting at t = 1) and advances the internal age distribution using
     the supplied activation probability; ``step_block`` advances up to
-    ``n`` slots at a constant activation probability per call.
+    ``n`` slots at a constant activation probability per call.  This
+    per-slot loop is the numpy reference the C DP
+    (``repro_pi_advance`` in :mod:`repro.sim._native`) mirrors.
 
-    The age distribution ``w`` is stored as a window ``w[lo:width]``:
-    entries below ``lo`` are exactly zero because slots without a
-    missed-event birth (``c_t = 1`` or zero event mass) only shift the
-    window up.  ``snapshot()``/``restore()`` capture and re-install the
-    window so a shared activation prefix can be forked; the restored
-    state advances through bit-identical arithmetic.
+    The age distribution ``w`` (one double per age up to
+    ``support_max``) is live only in the window ``w[lo:width]``: entries
+    below ``lo`` are exactly zero because slots without a missed-event
+    birth (``c_t = 1`` or zero event mass) only shift the window up.
+    ``snapshot()``/``restore()`` capture and re-install the window so a
+    shared activation prefix can be forked; the restored state advances
+    through bit-identical arithmetic.
     """
 
     def __init__(self, distribution: InterArrivalDistribution) -> None:
-        self._beta_g = distribution.beta
-        self._decay = 1.0 - self._beta_g
-        self._support = distribution.support_max
-        # Pre-allocate generously; grown on demand.
-        self._w = np.zeros(min(self._support, 1024))
-        self._w[0] = 1.0
-        self._lo = 0
-        self._width = 1
+        self.beta = np.ascontiguousarray(distribution.beta, dtype=np.float64)
+        self.decay = 1.0 - self.beta
+        self.support = self.beta.size
+        self.w = np.zeros(self.support)
+        self.w[0] = 1.0
+        self.lo = 0
+        self.width = 1
 
     def step(self, c_t: float) -> Tuple[float, float]:
         s_arr, bh_arr, _ = self.step_block(c_t, 1)
@@ -229,67 +249,18 @@ class _HazardStepper:
         zero-mass slot is reported as ``(0.0, 1.0)`` (matching the
         per-slot convention) and the state does not advance past it.
         """
-        bg = self._beta_g
-        decay = self._decay
-        support = self._support
-        w = self._w
-        lo = self._lo
-        width = self._width
+        bg = self.beta
+        decay = self.decay
+        support = self.support
+        w = self.w
+        lo = self.lo
+        width = self.width
         one_minus_c = 1.0 - float(c)
         s_out = np.empty(n)
         bh_out = np.empty(n)
         m = 0
         exhausted = False
         while m < n:
-            # No-birth fast path (c >= 1, e.g. the aggressive recovery
-            # tail): entries only decay and shift, so a whole block is a
-            # cumulative product plus row sums.  Every reduction uses the
-            # same pairwise scheme as the per-slot path, so results are
-            # bit-identical regardless of which path computes a slot.
-            if one_minus_c <= 0.0 and width < support and lo < width:
-                window = width - lo
-                fast_n = min(
-                    n - m, support - width, max(_FAST_MIN, _FAST_CELLS // window)
-                )
-                if fast_n >= _FAST_MIN:
-                    # Row k of these views is decay/bg over ages
-                    # lo+k .. lo+k+window-1 — strided views, no copies.
-                    span = slice(lo, lo + fast_n + window - 1)
-                    dec_rows = sliding_window_view(decay[span], window)
-                    bg_rows = sliding_window_view(bg[span], window)
-                    vals = np.empty((fast_n + 1, window))
-                    vals[0] = w[lo:width]
-                    vals[1:] = dec_rows
-                    np.cumprod(vals, axis=0, out=vals)
-                    masses = np.sum(vals[:fast_n], axis=1)
-                    ems = np.sum(vals[:fast_n] * bg_rows, axis=1)
-                    dead = np.flatnonzero(masses <= 0.0)
-                    take = fast_n if dead.size == 0 else int(dead[0])
-                    if take:
-                        s_out[m : m + take] = masses[:take]
-                        bh_block = ems[:take] / masses[:take]
-                        np.minimum(bh_block, 1.0, out=bh_block)
-                        bh_out[m : m + take] = bh_block
-                        m += take
-                        new_width = width + take
-                        if new_width > w.size:
-                            size = w.size
-                            while size < new_width:
-                                size = min(support, size * 2)
-                            w = np.zeros(size)
-                            self._w = w
-                        else:
-                            w[lo : lo + take] = 0.0
-                        w[lo + take : new_width] = vals[take]
-                        lo += take
-                        width = new_width
-                    if take < fast_n:
-                        s_out[m] = 0.0
-                        bh_out[m] = 1.0
-                        m += 1
-                        exhausted = True
-                        break
-                    continue
             live = w[lo:width]
             mass = float(live.sum())
             if mass <= 0.0:
@@ -308,11 +279,6 @@ class _HazardStepper:
             # Advance one slot: ages shift up (no event), missed events
             # reset the age to 1 without closing the cycle.
             new_width = width + 1 if width < support else support
-            if new_width > w.size:
-                grown = np.zeros(min(support, w.size * 2))
-                grown[: w.size] = w
-                self._w = grown
-                w = grown
             np.multiply(w[lo:width], decay[lo:width], out=w[lo:width])
             # Shift in place: w[lo+1:new_width] = old w[lo:new_width-1].
             w[lo + 1 : new_width] = w[lo : new_width - 1]
@@ -326,28 +292,24 @@ class _HazardStepper:
                 # No birth: the window moves up wholesale.
                 lo += 1
             width = new_width
-        self._lo = lo
-        self._width = width
+        self.lo = lo
+        self.width = width
         return s_out[:m], bh_out[:m], exhausted
 
     def snapshot(self) -> Tuple[np.ndarray, int, int]:
         """Copy of the live DP window, restorable via :meth:`restore`."""
-        window = self._w[self._lo : self._width].copy()
+        window = self.w[self.lo : self.width].copy()
         window.flags.writeable = False
-        return (window, self._lo, self._width)
+        return (window, self.lo, self.width)
 
     def restore(self, state: Tuple[np.ndarray, int, int]) -> None:
         """Re-install a snapshot; subsequent steps are bit-identical to a
         stepper that streamed to the snapshot point directly."""
         window, lo, width = state
-        size = self._w.size
-        while size < width:
-            size = min(self._support, size * 2)
-        w = np.zeros(size)
-        w[lo:width] = window
-        self._w = w
-        self._lo = lo
-        self._width = width
+        self.w[self.lo : self.width] = 0.0  # the only non-zero entries
+        self.w[lo:width] = window
+        self.lo = lo
+        self.width = width
 
 
 @dataclass(frozen=True)
@@ -368,6 +330,191 @@ def _activation_run_ends(c_vec: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
     change = np.flatnonzero(np.diff(c_vec)) + 1
     return np.concatenate((change, [c_vec.size])).astype(np.intp)
+
+
+def _native_dp() -> Optional["NativeScan"]:
+    """The compiled DP, or None (recorded) to run the numpy reference."""
+    # Imported here: repro.sim imports this module (through the policies),
+    # so a module-level import would be circular.
+    from repro.sim import _native
+
+    native = _native.get_native_scan()
+    if native is None:
+        telemetry.count("analysis.fallback.reference")
+        telemetry.event(
+            "backend_fallback", entry="partial_info",
+            reason=_native.NATIVE_UNAVAILABLE,
+        )
+    return native
+
+
+class _CycleStream:
+    """One capture cycle streamed through the DP, segment by segment.
+
+    Holds the stepper window, the slot count ``t``, the sequential sums
+    ``cycle_total``/``energy_total`` and the ``survival``/``beta_hat``
+    buffers (slot ``t`` writes index ``t``; grown on demand).
+    :meth:`advance` runs the C DP when ``native`` is loaded and the numpy
+    reference otherwise; both stop at the same slot, on tail closure or
+    exhaustion, with bit-identical state.
+    """
+
+    def __init__(
+        self,
+        distribution: InterArrivalDistribution,
+        c_vec: np.ndarray,
+        tail_c: float,
+        delta1: float,
+        delta2: float,
+        min_slots: int,
+        tail_rel_eps: float,
+        native: Optional["NativeScan"],
+    ) -> None:
+        self.stepper = _HazardStepper(distribution)
+        self.c_vec = c_vec
+        self.tail_c = tail_c
+        self.delta1 = delta1
+        self.delta2 = delta2
+        self.min_slots = min_slots
+        self.tail_rel_eps = tail_rel_eps
+        self.t = 0
+        self.cycle_total = 0.0
+        self.energy_total = 0.0
+        #: Estimated cycle length beyond ``t`` once the tail closed.
+        self.remaining = 0.0
+        self.survival = np.empty(0)
+        self.beta_hat = np.empty(0)
+        # The C DP's in/out state: (t, lo, width) and (cycle_total,
+        # energy_total, remaining); its call is bound to these arrays and
+        # to the stepper's window buffer, which restore() refills in place.
+        self._state_i = np.zeros(3, dtype=np.int64)
+        self._state_f = np.zeros(3)
+        self._native_call: Optional[Callable[[int, np.ndarray, np.ndarray], int]] = (
+            None if native is None else native.pi_advancer(
+                self.stepper.beta, self.stepper.decay, c_vec, tail_c,
+                delta1, delta2, min_slots, tail_rel_eps,
+                self.stepper.w, self._state_i, self._state_f,
+            )
+        )
+
+    def restore(self, checkpoint: _PrefixCheckpoint) -> None:
+        """Continue from a forked prefix instead of slot 0."""
+        self.stepper.restore(checkpoint.state)
+        self._grow(checkpoint.t)
+        self.t = checkpoint.t
+        self.survival[: self.t] = checkpoint.survival
+        self.beta_hat[: self.t] = checkpoint.beta_hat
+        self.cycle_total = checkpoint.cycle_total
+        self.energy_total = checkpoint.energy_total
+
+    def checkpoint(self) -> _PrefixCheckpoint:
+        """The current state as a forkable prefix."""
+        survival = self.survival[: self.t].copy()
+        beta_hat = self.beta_hat[: self.t].copy()
+        survival.flags.writeable = False
+        beta_hat.flags.writeable = False
+        return _PrefixCheckpoint(
+            state=self.stepper.snapshot(),
+            t=self.t,
+            beta_hat=beta_hat,
+            survival=survival,
+            cycle_total=self.cycle_total,
+            energy_total=self.energy_total,
+        )
+
+    def _grow(self, need: int) -> None:
+        size = self.survival.size
+        if size >= need:
+            return
+        size = max(need, 2 * size, _OUT_MIN)
+        for name in ("survival", "beta_hat"):
+            grown = np.empty(size)
+            grown[: self.t] = getattr(self, name)[: self.t]
+            setattr(self, name, grown)
+
+    def advance(self, stop: int) -> int:
+        """Run slots ``t .. stop-1``; returns ``_REACHED``, ``_CLOSED`` or
+        ``_EXHAUSTED`` (the last two consume the slot they stop at)."""
+        while True:
+            if self.t >= self.survival.size:
+                self._grow(self.t + 1)
+            upto = min(stop, self.survival.size)
+            if self._native_call is None:
+                status = self._advance_reference(upto)
+            else:
+                status = self._advance_native(self._native_call, upto)
+            if status != _REACHED or self.t >= stop:
+                return status
+
+    def _advance_native(
+        self, call: Callable[[int, np.ndarray, np.ndarray], int], stop: int
+    ) -> int:
+        stepper = self.stepper
+        state_i, state_f = self._state_i, self._state_f
+        state_i[0], state_i[1], state_i[2] = self.t, stepper.lo, stepper.width
+        state_f[0], state_f[1] = self.cycle_total, self.energy_total
+        status = call(stop, self.survival, self.beta_hat)
+        self.t, stepper.lo, stepper.width = state_i.tolist()
+        self.cycle_total, self.energy_total, self.remaining = state_f.tolist()
+        return status
+
+    def _advance_reference(self, stop: int) -> int:
+        """The numpy reference: constant-activation blocks through
+        ``step_block``, then vectorised accumulators and closure test."""
+        c_vec = self.c_vec
+        d1, d2 = self.delta1, self.delta2
+        run_ends = _activation_run_ends(c_vec)
+        while self.t < stop:
+            t = self.t
+            if t < c_vec.size:
+                c = float(c_vec[t])
+                end_idx = int(
+                    run_ends[np.searchsorted(run_ends, t, side="right")]
+                )
+                block_end = min(end_idx, stop)
+            else:
+                c = self.tail_c
+                block_end = min(t + _TAIL_BLOCK, stop)
+            s_arr, bh_arr, exhausted = self.stepper.step_block(c, block_end - t)
+            got = s_arr.size
+            # Sequential prefix sums reproduce the scalar accumulation
+            # chain exactly, independent of how slots are blocked.
+            cyc = np.cumsum(np.concatenate(([self.cycle_total], s_arr)))[1:]
+            contrib = s_arr * c * (d1 + bh_arr * d2)
+            ene = np.cumsum(np.concatenate(([self.energy_total], contrib)))[1:]
+
+            status = _EXHAUSTED if exhausted else _REACHED
+            upto = got
+            # Tail-closure check; never fires before min_slots, and the
+            # zero-mass slot (if any) is never tested.
+            limit = got - 1 if exhausted else got
+            off = max(self.min_slots, t + 1) - (t + 1)
+            if off < limit:
+                r = c * bh_arr[off:limit]
+                pos = np.flatnonzero(r > 0.0)
+                if pos.size:
+                    rr = r[pos]
+                    ss = s_arr[off:limit][pos]
+                    tt = (t + 1 + off + pos).astype(float)
+                    geom = ss * (1.0 - rr) / rr
+                    gamma = tt * rr
+                    power = ss * tt / np.maximum(gamma - 1.0, 1e-3)
+                    remaining = np.maximum(geom, power)
+                    hit = np.flatnonzero(
+                        remaining <= self.tail_rel_eps * (cyc[off:limit][pos] + remaining)
+                    )
+                    if hit.size:
+                        upto = int(pos[hit[0]]) + off + 1
+                        self.remaining = float(remaining[hit[0]])
+                        status = _CLOSED
+            self.survival[t : t + upto] = s_arr[:upto]
+            self.beta_hat[t : t + upto] = bh_arr[:upto]
+            self.cycle_total = float(cyc[upto - 1])
+            self.energy_total = float(ene[upto - 1])
+            self.t = t + upto
+            if status != _REACHED:
+                return status
+        return _REACHED
 
 
 class PartialInfoSolver:
@@ -392,9 +539,9 @@ class PartialInfoSolver:
         delta1: float,
         delta2: float,
     ) -> None:
-        if delta1 < 0 or delta2 < 0:
+        if not (0 <= delta1 < np.inf and 0 <= delta2 < np.inf):
             raise PolicyError(
-                f"delta1/delta2 must be >= 0, got {delta1}, {delta2}"
+                f"delta1/delta2 must be finite and >= 0, got {delta1}, {delta2}"
             )
         self.distribution = distribution
         self.delta1 = float(delta1)
@@ -413,8 +560,7 @@ class PartialInfoSolver:
     ) -> PartialInfoAnalysis:
         """Analyse one activation vector (see module-level function)."""
         arr = np.asarray(activation, dtype=float)
-        if arr.ndim != 1:
-            raise PolicyError("activation vector must be 1-D")
+        _check_activation(arr, tail)
         key = _memo_key(
             self.distribution,
             arr,
@@ -445,9 +591,7 @@ class PartialInfoSolver:
     ) -> PartialInfoAnalysis:
         d1, d2 = self.delta1, self.delta2
         distribution = self.distribution
-        tail_c = float(np.clip(tail, 0.0, 1.0))
         c_vec = np.clip(arr, 0.0, 1.0)
-        run_ends = _activation_run_ends(c_vec)
         min_slots = max(arr.size + 1, distribution.quantile(0.999), 32)
 
         # Checkpoints are only meaningful strictly inside the vector and
@@ -462,12 +606,10 @@ class PartialInfoSolver:
             }
         )
 
-        stepper = _HazardStepper(distribution)
-        bh_blocks: List[np.ndarray] = []
-        s_blocks: List[np.ndarray] = []
-        cycle_total = 0.0
-        energy_total = 0.0
-        t = 0
+        cycle = _CycleStream(
+            distribution, c_vec, float(np.clip(tail, 0.0, 1.0)), d1, d2,
+            min_slots, tail_rel_eps, _native_dp(),
+        )
         # Resume from the longest cached prefix of this activation vector
         # (checkpoints captured for *any* earlier policy apply, since the
         # DP state depends only on the clipped prefix bytes).
@@ -480,113 +622,36 @@ class PartialInfoSolver:
             if cached is not None:
                 telemetry.count("analysis.prefix.hit")
                 telemetry.count("analysis.prefix.slots_reused", cached.t)
-                stepper.restore(cached.state)
-                t = cached.t
-                bh_blocks = [cached.beta_hat]
-                s_blocks = [cached.survival]
-                cycle_total = cached.cycle_total
-                energy_total = cached.energy_total
+                cycle.restore(cached)
                 self._prefix.move_to_end(key)
                 break
-        marks = [k for k in marks if k > t]
+        marks = [k for k in marks if k > cycle.t]
+
+        # One segment per checkpoint mark, then one to the end.
+        status = _REACHED
+        while cycle.t < max_horizon and status == _REACHED:
+            status = cycle.advance(
+                min(marks[0], max_horizon) if marks else max_horizon
+            )
+            if status == _REACHED and marks and cycle.t == marks[0]:
+                k = marks.pop(0)
+                self._capture(c_vec[:k].tobytes(), cycle)
 
         tail_cycle = 0.0
         tail_energy = 0.0
-        truncated = True
-        finished = False
-
-        while t < max_horizon and not finished:
-            if t < c_vec.size:
-                c = float(c_vec[t])
-                end_idx = int(
-                    run_ends[np.searchsorted(run_ends, t, side="right")]
-                )
-                block_end = min(end_idx, max_horizon)
-            else:
-                c = tail_c
-                block_end = min(t + _TAIL_BLOCK, max_horizon)
-            if marks:
-                block_end = min(block_end, marks[0])
-            s_arr, bh_arr, exhausted = stepper.step_block(c, block_end - t)
-            got = s_arr.size
-            # Sequential prefix sums reproduce the scalar accumulation
-            # chain exactly, independent of how slots are blocked.
-            cyc = np.cumsum(np.concatenate(([cycle_total], s_arr)))[1:]
-            contrib = s_arr * c * (d1 + bh_arr * d2)
-            ene = np.cumsum(np.concatenate(([energy_total], contrib)))[1:]
-
-            stop = -1
-            # Tail-closure check; never fires before min_slots, and the
-            # zero-mass slot (if any) breaks without a tail estimate.
-            limit = got - 1 if exhausted else got
-            first_check = max(min_slots, t + 1)
-            off = first_check - (t + 1)
-            if off < limit:
-                r = c * bh_arr[off:limit]
-                pos = np.flatnonzero(r > 0.0)
-                if pos.size:
-                    rr = r[pos]
-                    ss = s_arr[off:limit][pos]
-                    tt = (t + 1 + off + pos).astype(float)
-                    geom = ss * (1.0 - rr) / rr
-                    gamma = tt * rr
-                    power = ss * tt / np.maximum(gamma - 1.0, 1e-3)
-                    remaining = np.maximum(geom, power)
-                    hit = np.flatnonzero(
-                        remaining <= tail_rel_eps * (cyc[off:limit][pos] + remaining)
-                    )
-                    if hit.size:
-                        j = int(pos[hit[0]]) + off
-                        rem = float(remaining[hit[0]])
-                        tail_cycle = rem
-                        tail_energy = rem * tail_c * (
-                            d1 + float(bh_arr[j]) * d2
-                        )
-                        truncated = False
-                        stop = j
-            if stop < 0 and exhausted:
-                stop = got - 1
-                truncated = False
-
-            if stop >= 0:
-                upto = stop + 1
-                bh_blocks.append(bh_arr[:upto])
-                s_blocks.append(s_arr[:upto])
-                cycle_total = float(cyc[stop])
-                energy_total = float(ene[stop])
-                finished = True
-                break
-
-            bh_blocks.append(bh_arr)
-            s_blocks.append(s_arr)
-            if got:
-                cycle_total = float(cyc[-1])
-                energy_total = float(ene[-1])
-            t += got
-            if marks and t == marks[0]:
-                k = marks.pop(0)
-                self._capture(
-                    c_vec[:k].tobytes(),
-                    stepper,
-                    t,
-                    bh_blocks,
-                    s_blocks,
-                    cycle_total,
-                    energy_total,
-                )
-
-        if s_blocks:
-            survival = np.concatenate(s_blocks)
-            beta_hat = np.concatenate(bh_blocks)
-        else:
-            survival = np.empty(0)
-            beta_hat = np.empty(0)
-        total = cycle_total + tail_cycle
+        if status == _CLOSED:
+            tail_cycle = cycle.remaining
+            tail_energy = cycle.remaining * cycle.tail_c * (
+                d1 + float(cycle.beta_hat[cycle.t - 1]) * d2
+            )
+        survival = cycle.survival[: cycle.t].copy()
+        beta_hat = cycle.beta_hat[: cycle.t].copy()
+        total = cycle.cycle_total + tail_cycle
         if total <= 0.0:
             raise PolicyError("degenerate policy: capture cycle has zero length")
         stationary = survival / total
         qom = min(distribution.mu / total, 1.0)
-        energy_rate = (energy_total + tail_energy) / total
+        energy_rate = (cycle.energy_total + tail_energy) / total
         for out in (beta_hat, survival, stationary):
             out.flags.writeable = False
         return PartialInfoAnalysis(
@@ -596,36 +661,16 @@ class PartialInfoSolver:
             expected_cycle=total,
             qom=qom,
             energy_rate=energy_rate,
-            truncated=truncated,
+            truncated=status == _REACHED,
         )
 
-    def _capture(
-        self,
-        key: bytes,
-        stepper: _HazardStepper,
-        t: int,
-        bh_blocks: List[np.ndarray],
-        s_blocks: List[np.ndarray],
-        cycle_total: float,
-        energy_total: float,
-    ) -> None:
+    def _capture(self, key: bytes, cycle: _CycleStream) -> None:
         if key in self._prefix:
             self._prefix.move_to_end(key)
             return
         telemetry.count("analysis.prefix.capture")
-        beta_hat = np.concatenate(bh_blocks) if bh_blocks else np.empty(0)
-        survival = np.concatenate(s_blocks) if s_blocks else np.empty(0)
-        beta_hat.flags.writeable = False
-        survival.flags.writeable = False
-        self._prefix[key] = _PrefixCheckpoint(
-            state=stepper.snapshot(),
-            t=t,
-            beta_hat=beta_hat,
-            survival=survival,
-            cycle_total=cycle_total,
-            energy_total=energy_total,
-        )
-        self._lengths.add(t)
+        self._prefix[key] = cycle.checkpoint()
+        self._lengths.add(cycle.t)
         while len(self._prefix) > _PREFIX_MAX:
             self._prefix.popitem(last=False)
 

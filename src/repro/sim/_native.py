@@ -27,6 +27,12 @@ scan.  If no C compiler (``gcc``/``cc``) is found or compilation fails,
 report :data:`NATIVE_UNAVAILABLE`: ``backend="auto"`` then runs the
 reference loop (same results, slower) and ``backend="vectorized"``
 raises.
+
+The same library carries the partial-information hazard DP of
+:mod:`repro.analysis.partial_info` (``repro_pi_advance``, bound through
+:meth:`NativeScan.pi_advancer`), so there is one source, one compile and
+one cached object.  Its sums follow numpy's pairwise order, so it is
+``==`` to the numpy reference DP, which runs when the library is absent.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import pathlib
 import shutil
 import subprocess
 import tempfile
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -427,6 +433,165 @@ void repro_network_batch_scan(
     }
 }
 
+/* ------------------------------------------------------------------
+ * Partial-information hazard DP (repro.analysis.partial_info).
+ *
+ * Must mirror the numpy reference (_HazardStepper.step_block plus the
+ * accumulators of PartialInfoSolver._stream) operation for operation.
+ * numpy reduces a contiguous float64 array as 0.0 + pairwise(a, n);
+ * pairwise2 reproduces that order for the sums of a[i] and a[i]*b[i]
+ * (plain loop below 8 elements, eight accumulators up to 128, halves
+ * split at a multiple of 8 above), so both sums equal np.sum bit for
+ * bit.
+ * ------------------------------------------------------------------ */
+#define PW_BLOCK 128
+
+static void pairwise2(const double *a, const double *b, int64_t n,
+                      double *sum_a, double *sum_ab)
+{
+    int64_t i;
+    if (n < 8) {
+        double ra = 0.0, rab = 0.0;
+        for (i = 0; i < n; i++) {
+            ra += a[i];
+            rab += a[i] * b[i];
+        }
+        *sum_a = ra;
+        *sum_ab = rab;
+    } else if (n <= PW_BLOCK) {
+        double r[8], p[8], ra, rab;
+        int j;
+        for (j = 0; j < 8; j++) {
+            r[j] = a[j];
+            p[j] = a[j] * b[j];
+        }
+        for (i = 8; i < n - (n % 8); i += 8) {
+            for (j = 0; j < 8; j++) {
+                r[j] += a[i + j];
+                p[j] += a[i + j] * b[i + j];
+            }
+        }
+        ra = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        rab = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
+        for (; i < n; i++) {
+            ra += a[i];
+            rab += a[i] * b[i];
+        }
+        *sum_a = ra;
+        *sum_ab = rab;
+    } else {
+        int64_t n2 = n / 2;
+        double la, lab, ha, hab;
+        n2 -= n2 % 8;
+        pairwise2(a, b, n2, &la, &lab);
+        pairwise2(a + n2, b + n2, n - n2, &ha, &hab);
+        *sum_a = la + ha;
+        *sum_ab = lab + hab;
+    }
+}
+
+/* np.maximum's scalar rule (propagates a NaN first argument). */
+static double np_maximum(double a, double b)
+{
+    return (a >= b || a != a) ? a : b;
+}
+
+/* Advance the DP from slot t (0-based, state_i[0]) until t == stop, the
+ * tail closes or the age mass is exhausted.
+ *
+ * State: the age window w[lo:width] of a buffer of `support` doubles,
+ * zero below lo (state_i = t, lo, width), and the sequential sums
+ * state_f = cycle_total, energy_total.  Slot t uses activation act[t]
+ * below n_act and tail_c beyond.  Survival and beta_hat of slot t go to
+ * s_out[t] / bh_out[t]; the caller sizes both for `stop` slots.
+ *
+ * Returns 0 when t reached stop, 1 when the tail closed (the estimated
+ * remaining cycle length goes to state_f[2]), 2 when the mass ran out
+ * (that slot is reported as survival 0, beta_hat 1).  Slots are
+ * consumed through the closing or exhausted one; in those two cases the
+ * window is not advanced past it. */
+int32_t repro_pi_advance(
+    const double *beta,      /* hazard per age, `support` doubles */
+    const double *decay,     /* 1 - beta */
+    int64_t support,
+    const double *act,
+    int64_t n_act,
+    double tail_c,
+    double delta1,
+    double delta2,
+    int64_t min_slots,       /* first 1-based slot the closure test runs */
+    double tail_rel_eps,
+    int64_t stop,
+    double *w,
+    int64_t *state_i,
+    double *state_f,
+    double *s_out,
+    double *bh_out)
+{
+    int64_t t = state_i[0], lo = state_i[1], width = state_i[2];
+    double cycle = state_f[0], energy = state_f[1];
+    int32_t status = 0;
+    while (t < stop) {
+        const double c = (t < n_act) ? act[t] : tail_c;
+        double mass, event_mass, bh, birth;
+        int64_t new_width, i;
+        pairwise2(w + lo, beta + lo, width - lo, &mass, &event_mass);
+        mass = 0.0 + mass;
+        event_mass = 0.0 + event_mass;
+        if (mass <= 0.0) {
+            s_out[t] = 0.0;
+            bh_out[t] = 1.0;
+            cycle = cycle + 0.0;
+            energy = energy + (0.0 * c) * (delta1 + 1.0 * delta2);
+            t++;
+            status = 2;
+            break;
+        }
+        bh = event_mass / mass;
+        if (bh > 1.0) bh = 1.0;
+        s_out[t] = mass;
+        bh_out[t] = bh;
+        cycle = cycle + mass;
+        energy = energy + (mass * c) * (delta1 + bh * delta2);
+        t++;
+        if (t >= min_slots) {  /* t is now this slot's 1-based number */
+            const double r = c * bh;
+            if (r > 0.0) {
+                const double tt = (double)t;
+                const double geom = (mass * (1.0 - r)) / r;
+                const double gamma = tt * r;
+                const double power =
+                    (mass * tt) / np_maximum(gamma - 1.0, 1e-3);
+                const double remaining = np_maximum(geom, power);
+                if (remaining <= tail_rel_eps * (cycle + remaining)) {
+                    state_f[2] = remaining;
+                    status = 1;
+                    break;
+                }
+            }
+        }
+        /* Decay, shift up one age and drop the last age of a full
+         * window, then place the missed-event birth at age 1. */
+        new_width = width < support ? width + 1 : support;
+        for (i = new_width - 2; i >= lo; i--) w[i + 1] = w[i] * decay[i];
+        w[lo] = 0.0;
+        birth = event_mass * (1.0 - c);
+        if (birth > 0.0) {
+            w[0] = birth;
+            lo = 0;
+        } else {
+            lo++;
+        }
+        width = new_width;
+    }
+    state_i[0] = t;
+    state_i[1] = lo;
+    state_i[2] = width;
+    state_f[0] = cycle;
+    state_f[1] = energy;
+    return status;
+}
+
 int32_t repro_openmp_enabled(void)
 {
 #ifdef _OPENMP
@@ -563,6 +728,29 @@ class NativeScan:
             _I64P,
             _F64P,
             _I64P,
+        ]
+        # The DP entry is called once per checkpoint segment of every
+        # analysis (thousands per clustering search), so its pointers
+        # travel as plain addresses: no per-call pointer objects.
+        self._pi_fn = lib.repro_pi_advance
+        self._pi_fn.restype = ctypes.c_int32
+        self._pi_fn.argtypes = [
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_int64,
+            ctypes.c_void_p,
+            ctypes.c_int64,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_double,
+            ctypes.c_int64,
+            ctypes.c_double,
+            ctypes.c_int64,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
+            ctypes.c_void_p,
         ]
         omp_fn = lib.repro_openmp_enabled
         omp_fn.restype = ctypes.c_int32
@@ -843,6 +1031,72 @@ class NativeScan:
             aoi.ctypes.data_as(_I64P),
         )
         return counts, state, aoi
+
+    def pi_advancer(
+        self,
+        beta: np.ndarray,
+        decay: np.ndarray,
+        activation: np.ndarray,
+        tail: float,
+        delta1: float,
+        delta2: float,
+        min_slots: int,
+        tail_rel_eps: float,
+        w: np.ndarray,
+        state_i: np.ndarray,
+        state_f: np.ndarray,
+    ) -> Callable[[int, np.ndarray, np.ndarray], int]:
+        """Bind the partial-information DP (``repro_pi_advance``) to the
+        arrays of one streamed cycle; validated once, called per segment.
+
+        ``w`` is the age buffer (``beta.size`` doubles, zero below the
+        window), ``state_i = (t, lo, width)`` and ``state_f =
+        (cycle_total, energy_total, remaining)`` are read and updated in
+        place.  The returned ``advance(stop, survival, beta_hat)`` runs
+        slots ``t .. stop-1``, writing slot ``t`` to ``survival[t]`` and
+        ``beta_hat[t]``; it returns 0 at ``stop``, 1 when the tail closed
+        and 2 when the age mass ran out.
+        """
+        support = beta.size
+        for arr, size in (
+            (beta, support), (decay, support), (activation, 0),
+            (w, support), (state_f, 3),
+        ):
+            if not (
+                arr.dtype == np.float64 and arr.ndim == 1
+                and arr.flags.c_contiguous and arr.size >= size
+            ):
+                raise SimulationError("pi_advancer: need contiguous float64 arrays")
+        if not (
+            state_i.dtype == np.int64 and state_i.flags.c_contiguous
+            and state_i.size == 3
+        ):
+            raise SimulationError("pi_advancer: need an int64[3] state")
+        fn = self._pi_fn
+        head = (
+            beta.ctypes.data, decay.ctypes.data, support,
+            activation.ctypes.data, activation.size, tail, delta1, delta2,
+            min_slots, tail_rel_eps,
+        )
+        state = (w.ctypes.data, state_i.ctypes.data, state_f.ctypes.data)
+        # The closure holds the arrays, not only their addresses, so none
+        # can be freed while it may still be called.
+        arrays = (beta, decay, activation, w, state_f, state_i)
+
+        def advance(stop: int, survival: np.ndarray, beta_hat: np.ndarray) -> int:
+            t, lo, width = arrays[-1].tolist()
+            if not (
+                t >= 0 and 0 <= lo <= width <= support
+                and survival.dtype == beta_hat.dtype == np.float64
+                and survival.flags.c_contiguous and beta_hat.flags.c_contiguous
+                and min(survival.size, beta_hat.size) >= stop
+            ):
+                raise SimulationError("pi_advancer: bad DP state or buffers")
+            return int(
+                fn(*head, stop, *state, survival.ctypes.data, beta_hat.ctypes.data)
+            )
+
+        return advance
 
 
 def _compile() -> Optional[ctypes.CDLL]:

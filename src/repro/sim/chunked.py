@@ -219,9 +219,12 @@ class ChunkedSimulator:
             )
         start = self._t
         end = start + n_slots
-        # Fast paths sized for the whole trajectory so far: the recency
-        # can reach `end`, and slot tables are indexed by global slot.
-        fast = kernel.policy_fast_paths(policy, end)
+        recency = self._since_event if self.full_info else self._since_capture
+        # No recency in this chunk exceeds the carried one plus n_slots;
+        # slot tables are indexed by global slot, so they run to `end`.
+        fast = kernel.policy_fast_paths(
+            policy, end, recency_reach=recency + n_slots
+        )
         if fast.full_info != self.full_info:
             raise SimulationError(
                 "policy info model does not match the simulator's "
@@ -233,7 +236,6 @@ class ChunkedSimulator:
         events = self._chunk_events(n_slots)
         recharge = self._recharge[start:end]
         coins = self._coins[start:end]
-        recency = self._since_event if self.full_info else self._since_capture
         captured = np.zeros(n_slots, dtype=np.uint8)
 
         if engine._fallback_reason("chunked", fast, recharge) is None:

@@ -65,7 +65,9 @@ class PolicyFastPaths:
     observe: Optional[Callable[[bool, bool], None]] = None
 
 
-def policy_fast_paths(policy: ActivationPolicy, horizon: int) -> PolicyFastPaths:
+def policy_fast_paths(
+    policy: ActivationPolicy, horizon: int, recency_reach: Optional[int] = None
+) -> PolicyFastPaths:
     """Resolve the policy's fast paths for one run (RL015 gate).
 
     This is the single place the scan layers read policy attributes:
@@ -74,6 +76,9 @@ def policy_fast_paths(policy: ActivationPolicy, horizon: int) -> PolicyFastPaths
     decision cannot drift from what the scans actually consume.
     ``observe`` is the policy's per-slot ``observe_outcome(active,
     captured)`` learning hook, if it has one (only chunked runs call it).
+    ``recency_reach`` (default ``horizon``) is the largest recency the
+    run can see: a resumed run reaches its carried recency plus its
+    slots, while its slot tables stay indexed by slot up to ``horizon``.
     """
     table: Optional[np.ndarray] = None
     tail = 0.0
@@ -81,7 +86,8 @@ def policy_fast_paths(policy: ActivationPolicy, horizon: int) -> PolicyFastPaths
     battery_aware = bool(getattr(policy, "battery_aware", False))
     observe = getattr(policy, "observe_outcome", None)
     if not battery_aware and observe is None:
-        recency_fast = policy.recency_probabilities(min(horizon, _TABLE_SLOTS))
+        reach = horizon if recency_reach is None else recency_reach
+        recency_fast = policy.recency_probabilities(min(reach, _TABLE_SLOTS))
         if recency_fast is not None:
             table, tail = recency_fast
         else:

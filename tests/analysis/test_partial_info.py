@@ -198,3 +198,50 @@ class TestBeliefCrossCheck:
                 float(beta_hat[t]), abs=1e-9
             )
             belief = belief.updated(active=True, observation=0)
+
+
+class TestAnalyseValidation:
+    """The DP takes only finite probabilities in [0, 1] (to within the
+    1e-12 that expand_activation allows) and finite energy costs."""
+
+    @pytest.mark.parametrize(
+        "activation, tail",
+        [
+            ([np.nan], 1.0),
+            ([0.5, np.inf], 1.0),
+            ([1.5, 0.2], 1.0),
+            ([-0.3, 0.5], 1.0),
+            ([0.5], np.nan),
+            ([0.5], 1.7),
+            ([0.5], -0.1),
+        ],
+    )
+    def test_invalid_activation_rejected(self, small_weibull, activation, tail):
+        with pytest.raises(PolicyError, match="activation"):
+            analyse_partial_info_policy(
+                small_weibull, np.array(activation), DELTA1, DELTA2, tail=tail
+            )
+
+    @pytest.mark.parametrize("activation", [[np.nan], [1.5, 0.2]])
+    def test_expand_activation_agrees(self, activation):
+        with pytest.raises(PolicyError):
+            expand_activation(np.array(activation), 3)
+
+    def test_tolerance_is_clipped(self, small_weibull):
+        """Values within 1e-12 of [0, 1] are accepted and clipped."""
+        nudged = analyse_partial_info_policy(
+            small_weibull, np.array([-1e-13, 1 + 1e-13]), DELTA1, DELTA2,
+            tail=1 + 1e-13,
+        )
+        exact = analyse_partial_info_policy(
+            small_weibull, np.array([0.0, 1.0]), DELTA1, DELTA2, tail=1.0
+        )
+        assert nudged.qom == exact.qom
+        assert nudged.energy_rate == exact.energy_rate
+
+    @pytest.mark.parametrize(
+        "delta1, delta2", [(np.nan, 6.0), (1.0, np.inf), (np.inf, 6.0)]
+    )
+    def test_non_finite_deltas_rejected(self, two_slot, delta1, delta2):
+        with pytest.raises(PolicyError):
+            analyse_partial_info_policy(two_slot, np.ones(2), delta1, delta2)

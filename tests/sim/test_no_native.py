@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.partial_info import clear_analysis_cache
 from repro.core import AggressivePolicy, solve_greedy
 from repro.core.clustering import optimize_clustering
 from repro.core.multi import MultiAggressiveCoordinator, make_mfi, make_mpi
 from repro.devtools import telemetry
 from repro.energy import BernoulliRecharge
+from repro.events import WeibullInterArrival
 from repro.exceptions import SimulationError
 from repro.sim import (
     NetworkRunSpec,
@@ -24,6 +26,7 @@ from repro.sim import (
     simulate_network_runs,
     simulate_single,
 )
+from repro.sim import _native
 from repro.sim._native import NATIVE_UNAVAILABLE
 
 DELTA1, DELTA2 = 1.0, 6.0
@@ -119,3 +122,34 @@ def test_structural_reason_outranks_missing_native(weibull, no_native):
             horizon=100, seed=0, backend="vectorized",
             collect_battery_trace=True,
         )
+
+
+def test_clustering_search_falls_back_to_reference_dp(monkeypatch):
+    """Without the C library the partial-information DP runs the numpy
+    reference: the same solution, with the reason recorded."""
+    small = WeibullInterArrival(8, 3)
+
+    def solve():
+        clear_analysis_cache()
+        solution = optimize_clustering(small, 0.5, DELTA1, DELTA2, n_jobs=1)
+        clear_analysis_cache()
+        p = solution.policy
+        return (
+            p.n1, p.n2, p.n3, p.c_n1, p.c_n2, p.c_n3,
+            solution.qom, solution.energy_rate,
+            solution.analysis.survival.tobytes(),
+        )
+
+    assert _native.get_native_scan() is not None, "the C DP needs gcc/cc"
+    native = solve()
+    monkeypatch.setattr(_native, "_lib_tried", True)  # as no_native does
+    monkeypatch.setattr(_native, "_lib_cache", None)
+    with telemetry.collect() as t:
+        reference = solve()
+    assert native == reference
+    assert t.counters["analysis.fallback.reference"] >= 1
+    reasons = {
+        (e["entry"], e["reason"])
+        for e in t.events if e["kind"] == "backend_fallback"
+    }
+    assert reasons == {("partial_info", NATIVE_UNAVAILABLE)}
