@@ -5,8 +5,7 @@ package learns it online.  :class:`~repro.adaptive.controller.AdaptiveController
 drives a chunked simulation, estimates the distribution from observed
 gaps (with censoring-aware deconvolution under partial information —
 :mod:`repro.adaptive.observer`), and re-solves the activation policy on
-drift or change-points, reusing the checkpointed-DP/memo machinery for
-warm re-solves.  :class:`~repro.adaptive.automaton.LinearRewardInactionPolicy`
+drift or change-points, reusing the analysis memo for warm re-solves.  :class:`~repro.adaptive.automaton.LinearRewardInactionPolicy`
 is the model-free learning-automaton baseline.
 """
 

@@ -12,9 +12,8 @@ policy when the estimate drifts:
 * **Full information** re-solves ride :func:`repro.core.solve_greedy`
   (Theorem 1's fractional knapsack — microseconds).
 * **Partial information** re-solves ride
-  :func:`repro.core.optimize_clustering`, which shares DP prefix
-  checkpoints within a solve and the process-wide analysis memo across
-  solves.  The fitted pmf is *quantized* before solving, so successive
+  :func:`repro.core.optimize_clustering`, which shares the
+  process-wide analysis memo across solves.  The fitted pmf is *quantized* before solving, so successive
   fits that differ only by estimation noise produce byte-identical
   distributions — same fingerprint, warm memo hits, and a re-solve that
   recomputes nothing (asserted in tier-1 by the counters

@@ -38,45 +38,38 @@ Performance architecture (see DESIGN.md §9):
 
 * The DP's per-slot loop runs in C (``repro_pi_advance``, compiled into
   the one :mod:`repro.sim._native` library): one call advances a cycle
-  from its state to the next checkpoint mark, tail closure, exhaustion
-  or ``max_horizon``, writing survival and ``beta_hat`` into buffers the
-  caller owns.  It reproduces numpy's pairwise summation order and the
-  reference's operation order, so its results are ``==`` to the numpy
-  reference (``_HazardStepper.step_block`` plus the accumulators of
-  ``_CycleStream``).  Without a C compiler the reference runs and the
+  from slot 1 to tail closure, exhaustion or ``max_horizon``, writing
+  survival and ``beta_hat`` into buffers the caller owns (and grows,
+  resuming the call, when they fill).  It reproduces numpy's pairwise
+  summation order and the reference's operation order, so its results
+  are ``==`` to the numpy reference (``_HazardStepper.step_block`` plus
+  the accumulators of ``_CycleStream``).  Without a C compiler the reference runs and the
   fallback is recorded (``analysis.fallback.reference``).
 * Both paths track the *live window* of ``w``: whenever a slot produces
   no missed-event birth (``c_t = 1`` — the aggressive recovery tail — or
   zero event mass), the age distribution only shifts, so the leading
   entries stay exactly zero and are skipped.  In the recovery region
   the per-slot cost drops from ``O(t)`` to ``O(window)``.
-* ``snapshot()`` / ``restore()`` checkpoint the DP state so policies
-  sharing an activation prefix (the bisection over the clustering
-  boundary scale; structures sharing ``(n1, n2)``) fork the prefix
-  instead of recomputing it.  All accumulators use sequential prefix
-  sums, so a forked continuation is bit-identical to a streamed run.
-* Results are memoised in a process-wide LRU keyed on the distribution
-  fingerprint, activation bytes, energy costs and tolerances, with an
-  optional on-disk cache (``REPRO_ANALYSIS_CACHE=<dir>``).  Set
-  ``REPRO_ANALYSIS_MEMO=0`` to disable caching entirely.
+* :class:`PartialInfoSolver` computes the per-distribution inputs (the
+  hazard ``beta``, ``1 - beta`` and the 0.999 quantile) once and shares
+  them, read-only, across its analyses.
+* Results are memoised in a process-wide, byte-budgeted LRU keyed on the
+  distribution fingerprint, activation bytes, energy costs and
+  tolerances (``analysis.memo.{hit,miss,evict}``).
 """
 
 from __future__ import annotations
 
-import io
-import os
 import struct
-import zipfile
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.devtools import telemetry
 from repro.events.base import InterArrivalDistribution
 from repro.exceptions import PolicyError
-from repro.store import MemoryLRU, TieredStore
+from repro.store import MemoryLRU
 
 if TYPE_CHECKING:
     from repro.sim._native import NativeScan
@@ -105,9 +98,6 @@ _REACHED, _CLOSED, _EXHAUSTED = 0, 1, 2
 #: deterministic evaluation sequence of a warm search.
 _MEMO_MAX_ENTRIES = 16_384
 _MEMO_MAX_BYTES = 256 * 1024 * 1024
-
-#: Prefix checkpoints kept per solver (LRU eviction).
-_PREFIX_MAX = 1024
 
 
 def expand_activation(
@@ -181,6 +171,17 @@ class PartialInfoAnalysis:
     truncated: bool
 
 
+def _hazard_arrays(
+    distribution: InterArrivalDistribution,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only contiguous copies of ``beta`` and ``1 - beta``."""
+    beta = np.array(distribution.beta, dtype=np.float64)
+    decay = 1.0 - beta
+    beta.flags.writeable = False
+    decay.flags.writeable = False
+    return beta, decay
+
+
 def conditional_hazards(
     distribution: InterArrivalDistribution,
     activation: np.ndarray,
@@ -197,7 +198,7 @@ def conditional_hazards(
     if horizon < 1:
         raise PolicyError(f"horizon must be >= 1, got {horizon}")
     c = expand_activation(activation, horizon, tail=tail)
-    stepper = _HazardStepper(distribution)
+    stepper = _HazardStepper(*_hazard_arrays(distribution))
     beta_hat = np.zeros(horizon)
     survival = np.zeros(horizon)
     for t in range(1, horizon + 1):
@@ -221,15 +222,14 @@ class _HazardStepper:
     ``support_max``) is live only in the window ``w[lo:width]``: entries
     below ``lo`` are exactly zero because slots without a missed-event
     birth (``c_t = 1`` or zero event mass) only shift the window up.
-    ``snapshot()``/``restore()`` capture and re-install the window so a
-    shared activation prefix can be forked; the restored state advances
-    through bit-identical arithmetic.
+    ``beta`` and ``decay = 1 - beta`` are shared, read-only inputs; ``w``
+    is the stepper's own.
     """
 
-    def __init__(self, distribution: InterArrivalDistribution) -> None:
-        self.beta = np.ascontiguousarray(distribution.beta, dtype=np.float64)
-        self.decay = 1.0 - self.beta
-        self.support = self.beta.size
+    def __init__(self, beta: np.ndarray, decay: np.ndarray) -> None:
+        self.beta = beta
+        self.decay = decay
+        self.support = beta.size
         self.w = np.zeros(self.support)
         self.w[0] = 1.0
         self.lo = 0
@@ -296,33 +296,6 @@ class _HazardStepper:
         self.width = width
         return s_out[:m], bh_out[:m], exhausted
 
-    def snapshot(self) -> Tuple[np.ndarray, int, int]:
-        """Copy of the live DP window, restorable via :meth:`restore`."""
-        window = self.w[self.lo : self.width].copy()
-        window.flags.writeable = False
-        return (window, self.lo, self.width)
-
-    def restore(self, state: Tuple[np.ndarray, int, int]) -> None:
-        """Re-install a snapshot; subsequent steps are bit-identical to a
-        stepper that streamed to the snapshot point directly."""
-        window, lo, width = state
-        self.w[self.lo : self.width] = 0.0  # the only non-zero entries
-        self.w[lo:width] = window
-        self.lo = lo
-        self.width = width
-
-
-@dataclass(frozen=True)
-class _PrefixCheckpoint:
-    """Forked DP prefix: stepper state plus the accumulators at slot t."""
-
-    state: Tuple[np.ndarray, int, int]
-    t: int
-    beta_hat: np.ndarray
-    survival: np.ndarray
-    cycle_total: float
-    energy_total: float
-
 
 def _activation_run_ends(c_vec: np.ndarray) -> np.ndarray:
     """End indices (exclusive) of maximal constant runs in ``c_vec``."""
@@ -349,7 +322,7 @@ def _native_dp() -> Optional["NativeScan"]:
 
 
 class _CycleStream:
-    """One capture cycle streamed through the DP, segment by segment.
+    """One capture cycle streamed through the DP.
 
     Holds the stepper window, the slot count ``t``, the sequential sums
     ``cycle_total``/``energy_total`` and the ``survival``/``beta_hat``
@@ -361,7 +334,8 @@ class _CycleStream:
 
     def __init__(
         self,
-        distribution: InterArrivalDistribution,
+        beta: np.ndarray,
+        decay: np.ndarray,
         c_vec: np.ndarray,
         tail_c: float,
         delta1: float,
@@ -370,7 +344,7 @@ class _CycleStream:
         tail_rel_eps: float,
         native: Optional["NativeScan"],
     ) -> None:
-        self.stepper = _HazardStepper(distribution)
+        self.stepper = _HazardStepper(beta, decay)
         self.c_vec = c_vec
         self.tail_c = tail_c
         self.delta1 = delta1
@@ -386,40 +360,15 @@ class _CycleStream:
         self.beta_hat = np.empty(0)
         # The C DP's in/out state: (t, lo, width) and (cycle_total,
         # energy_total, remaining); its call is bound to these arrays and
-        # to the stepper's window buffer, which restore() refills in place.
+        # to the stepper's window buffer.
         self._state_i = np.zeros(3, dtype=np.int64)
         self._state_f = np.zeros(3)
         self._native_call: Optional[Callable[[int, np.ndarray, np.ndarray], int]] = (
             None if native is None else native.pi_advancer(
-                self.stepper.beta, self.stepper.decay, c_vec, tail_c,
+                beta, decay, c_vec, tail_c,
                 delta1, delta2, min_slots, tail_rel_eps,
                 self.stepper.w, self._state_i, self._state_f,
             )
-        )
-
-    def restore(self, checkpoint: _PrefixCheckpoint) -> None:
-        """Continue from a forked prefix instead of slot 0."""
-        self.stepper.restore(checkpoint.state)
-        self._grow(checkpoint.t)
-        self.t = checkpoint.t
-        self.survival[: self.t] = checkpoint.survival
-        self.beta_hat[: self.t] = checkpoint.beta_hat
-        self.cycle_total = checkpoint.cycle_total
-        self.energy_total = checkpoint.energy_total
-
-    def checkpoint(self) -> _PrefixCheckpoint:
-        """The current state as a forkable prefix."""
-        survival = self.survival[: self.t].copy()
-        beta_hat = self.beta_hat[: self.t].copy()
-        survival.flags.writeable = False
-        beta_hat.flags.writeable = False
-        return _PrefixCheckpoint(
-            state=self.stepper.snapshot(),
-            t=self.t,
-            beta_hat=beta_hat,
-            survival=survival,
-            cycle_total=self.cycle_total,
-            energy_total=self.energy_total,
         )
 
     def _grow(self, need: int) -> None:
@@ -520,17 +469,12 @@ class _CycleStream:
 class PartialInfoSolver:
     """Reusable partial-information analysis engine for one event model.
 
-    Wraps the streamed DP of :func:`analyse_partial_info_policy` and adds
-    *prefix checkpointing*: ``analyse(..., checkpoint_slots=(k1, k2))``
-    snapshots the DP state after slots ``k1``/``k2`` keyed on the clipped
-    activation prefix bytes, and later calls whose activation starts with
-    a checkpointed prefix resume from the snapshot instead of recomputing
-    it.  Because every accumulator is a sequential prefix sum and the
-    snapshot restores the exact window layout, a resumed analysis is
-    bit-identical to a streamed one (property-tested).
-
-    The clustering optimiser shares one solver across its bisections and
-    across structures with a common ``(n1, n2)`` hot region.
+    Runs the streamed DP of :func:`analyse_partial_info_policy` through
+    the analysis memo.  The per-distribution inputs (``beta``,
+    ``1 - beta`` and the 0.999 quantile that bounds the earliest tail
+    closure) are computed once here; the arrays are read-only, so every
+    analysis on a solver equals a fresh one.  The clustering optimiser
+    shares one solver across its whole search.
     """
 
     def __init__(
@@ -546,9 +490,8 @@ class PartialInfoSolver:
         self.distribution = distribution
         self.delta1 = float(delta1)
         self.delta2 = float(delta2)
-        self._prefix: "OrderedDict[bytes, _PrefixCheckpoint]" = OrderedDict()
-        #: Distinct checkpoint lengths ever captured; resume tries each.
-        self._lengths: set = set()
+        self._beta, self._decay = _hazard_arrays(distribution)
+        self._reach = distribution.quantile(0.999)
 
     def analyse(
         self,
@@ -556,7 +499,6 @@ class PartialInfoSolver:
         tail: float = 1.0,
         tail_rel_eps: float = DEFAULT_TAIL_REL_EPS,
         max_horizon: int = DEFAULT_MAX_HORIZON,
-        checkpoint_slots: Sequence[int] = (),
     ) -> PartialInfoAnalysis:
         """Analyse one activation vector (see module-level function)."""
         arr = np.asarray(activation, dtype=float)
@@ -570,72 +512,32 @@ class PartialInfoSolver:
             tail_rel_eps,
             max_horizon,
         )
-        result = _cache_get(key)
-        if result is None:
-            result = self._stream(
-                arr, tail, tail_rel_eps, max_horizon, checkpoint_slots
-            )
-            _cache_put(key, result)
+        result = _MEMO.get(key)
+        if result is not None:
+            telemetry.count("analysis.memo.hit")
+            return result
+        telemetry.count("analysis.memo.miss")
+        result = self._stream(arr, tail, tail_rel_eps, max_horizon)
+        evicted = _MEMO.put(key, result)
+        if evicted:
+            telemetry.count("analysis.memo.evict", evicted)
         return result
 
-    # ------------------------------------------------------------------
-    # Core streamed DP
-    # ------------------------------------------------------------------
     def _stream(
         self,
         arr: np.ndarray,
         tail: float,
         tail_rel_eps: float,
         max_horizon: int,
-        checkpoint_slots: Sequence[int],
     ) -> PartialInfoAnalysis:
         d1, d2 = self.delta1, self.delta2
-        distribution = self.distribution
         c_vec = np.clip(arr, 0.0, 1.0)
-        min_slots = max(arr.size + 1, distribution.quantile(0.999), 32)
-
-        # Checkpoints are only meaningful strictly inside the vector and
-        # before any tail-closure decision can fire (min_slots > k keeps
-        # the prefix computation independent of the tolerance and of the
-        # suffix length, so it can be shared across policies).
-        marks = sorted(
-            {
-                int(k)
-                for k in checkpoint_slots
-                if 1 <= int(k) <= c_vec.size and int(k) < min_slots
-            }
-        )
-
+        min_slots = max(arr.size + 1, self._reach, 32)
         cycle = _CycleStream(
-            distribution, c_vec, float(np.clip(tail, 0.0, 1.0)), d1, d2,
-            min_slots, tail_rel_eps, _native_dp(),
+            self._beta, self._decay, c_vec, float(np.clip(tail, 0.0, 1.0)),
+            d1, d2, min_slots, tail_rel_eps, _native_dp(),
         )
-        # Resume from the longest cached prefix of this activation vector
-        # (checkpoints captured for *any* earlier policy apply, since the
-        # DP state depends only on the clipped prefix bytes).
-        limit = min(c_vec.size, min_slots - 1)
-        for k in sorted(
-            (x for x in self._lengths if x <= limit), reverse=True
-        ):
-            key = c_vec[:k].tobytes()
-            cached = self._prefix.get(key)
-            if cached is not None:
-                telemetry.count("analysis.prefix.hit")
-                telemetry.count("analysis.prefix.slots_reused", cached.t)
-                cycle.restore(cached)
-                self._prefix.move_to_end(key)
-                break
-        marks = [k for k in marks if k > cycle.t]
-
-        # One segment per checkpoint mark, then one to the end.
-        status = _REACHED
-        while cycle.t < max_horizon and status == _REACHED:
-            status = cycle.advance(
-                min(marks[0], max_horizon) if marks else max_horizon
-            )
-            if status == _REACHED and marks and cycle.t == marks[0]:
-                k = marks.pop(0)
-                self._capture(c_vec[:k].tobytes(), cycle)
+        status = cycle.advance(max_horizon)
 
         tail_cycle = 0.0
         tail_energy = 0.0
@@ -650,7 +552,7 @@ class PartialInfoSolver:
         if total <= 0.0:
             raise PolicyError("degenerate policy: capture cycle has zero length")
         stationary = survival / total
-        qom = min(distribution.mu / total, 1.0)
+        qom = min(self.distribution.mu / total, 1.0)
         energy_rate = (cycle.energy_total + tail_energy) / total
         for out in (beta_hat, survival, stationary):
             out.flags.writeable = False
@@ -663,16 +565,6 @@ class PartialInfoSolver:
             energy_rate=energy_rate,
             truncated=status == _REACHED,
         )
-
-    def _capture(self, key: bytes, cycle: _CycleStream) -> None:
-        if key in self._prefix:
-            self._prefix.move_to_end(key)
-            return
-        telemetry.count("analysis.prefix.capture")
-        self._prefix[key] = cycle.checkpoint()
-        self._lengths.add(cycle.t)
-        while len(self._prefix) > _PREFIX_MAX:
-            self._prefix.popitem(last=False)
 
 
 def analyse_partial_info_policy(
@@ -708,7 +600,7 @@ def analyse_partial_info_policy(
 
 
 # ----------------------------------------------------------------------
-# Analysis memo: a repro.store TieredStore (memory LRU → on-disk npz)
+# Analysis memo: one process-wide repro.store MemoryLRU
 # ----------------------------------------------------------------------
 def _entry_nbytes(key: bytes, result: PartialInfoAnalysis) -> int:
     return (
@@ -720,87 +612,17 @@ def _entry_nbytes(key: bytes, result: PartialInfoAnalysis) -> int:
     )
 
 
-def _memo_enabled() -> bool:
-    return os.environ.get("REPRO_ANALYSIS_MEMO", "1") != "0"
-
-
-def _disk_cache_dir() -> Optional[str]:
-    return os.environ.get("REPRO_ANALYSIS_CACHE") or None
-
-
-def _encode_analysis(result: PartialInfoAnalysis) -> bytes:
-    """Serialise an analysis as npz bytes (the PR 3 disk-tier format)."""
-    buffer = io.BytesIO()
-    np.savez(
-        buffer,
-        beta_hat=result.beta_hat,
-        survival=result.survival,
-        stationary=result.stationary,
-        scalars=np.array(
-            [result.expected_cycle, result.qom, result.energy_rate]
-        ),
-        flags=np.array([1 if result.truncated else 0], dtype=np.int64),
-    )
-    return buffer.getvalue()
-
-
-def _decode_analysis(blob: bytes) -> Optional[PartialInfoAnalysis]:
-    """Parse npz bytes back into an analysis; ``None`` marks corruption.
-
-    Any parse failure — torn bytes, a bad zip, missing arrays, wrong
-    shapes — degrades to a cache miss instead of raising, so a damaged
-    disk entry costs a recomputation, never a crash.
-    """
-    try:
-        with np.load(io.BytesIO(blob)) as data:
-            beta_hat = np.array(data["beta_hat"])
-            survival = np.array(data["survival"])
-            stationary = np.array(data["stationary"])
-            scalars = np.array(data["scalars"])
-            flags = np.array(data["flags"])
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile, EOFError):
-        return None
-    if scalars.shape != (3,) or flags.shape != (1,):
-        return None
-    for out in (beta_hat, survival, stationary):
-        out.flags.writeable = False
-    return PartialInfoAnalysis(
-        beta_hat=beta_hat,
-        survival=survival,
-        stationary=stationary,
-        expected_cycle=float(scalars[0]),
-        qom=float(scalars[1]),
-        energy_rate=float(scalars[2]),
-        truncated=bool(int(flags[0])),
-    )
-
-
-#: Process-wide analysis store.  The disk directory is resolved from the
-#: environment on every access, so tests and callers can re-point (or
-#: disable) the disk tier at any time, exactly as before the store
-#: refactor; the counter names (``analysis.memo.*`` / ``analysis.disk.*``)
-#: are unchanged.
-_STORE = TieredStore(
-    memory=MemoryLRU(
-        _MEMO_MAX_ENTRIES, _MEMO_MAX_BYTES, nbytes=_entry_nbytes
-    ),
-    encode=_encode_analysis,
-    decode=_decode_analysis,
-    disk_dir=_disk_cache_dir,
-    counter_prefix="analysis",
-    file_prefix="pia-",
-    file_suffix=".npz",
-)
+_MEMO = MemoryLRU(_MEMO_MAX_ENTRIES, _MEMO_MAX_BYTES, nbytes=_entry_nbytes)
 
 
 def clear_analysis_cache() -> None:
-    """Drop every in-memory memoised analysis (disk entries persist)."""
-    _STORE.clear_memory()
+    """Drop every memoised analysis."""
+    _MEMO.clear()
 
 
 def analysis_cache_size() -> int:
     """Number of analyses currently memoised in this process."""
-    return _STORE.memory_len()
+    return len(_MEMO)
 
 
 def _memo_key(
@@ -818,15 +640,3 @@ def _memo_key(
     return (
         distribution.fingerprint.encode("ascii") + header + arr.tobytes()
     )
-
-
-def _cache_get(key: bytes) -> Optional[PartialInfoAnalysis]:
-    if not _memo_enabled():
-        return None
-    return _STORE.get(key)
-
-
-def _cache_put(key: bytes, result: PartialInfoAnalysis) -> None:
-    if not _memo_enabled():
-        return
-    _STORE.put(key, result)

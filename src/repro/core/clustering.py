@@ -68,7 +68,8 @@ class ClusteringPolicy(VectorPolicy):
             # contradictory values and silently ignoring c_n2 — the old
             # behaviour — made the policy round-trip inconsistently
             # through scaled(), so contradictions are now rejected.
-            if not np.isclose(self.c_n1, self.c_n2, rtol=1e-9, atol=1e-12):
+            # np.isclose(c_n1, c_n2, rtol=1e-9, atol=1e-12), in scalar form.
+            if not abs(self.c_n1 - self.c_n2) <= 1e-12 + 1e-9 * abs(self.c_n2):
                 raise PolicyError(
                     f"degenerate hot region (n1 == n2 == {self.n1}) needs "
                     f"c_n1 == c_n2; got c_n1={self.c_n1!r}, "
@@ -227,11 +228,9 @@ def optimize_clustering(
     full tolerance (``tail_rel_eps``).
 
     Structures are enumerated in ``(n1, n2, n3)`` order and analysed on a
-    shared :class:`~repro.analysis.partial_info.PartialInfoSolver`, so
-    consecutive candidates reuse checkpointed DP prefixes (the cooling
-    region and, per ``lambda``, the hot region).  ``n_jobs`` fans the
-    screening pass out over worker processes (contiguous structure
-    blocks, so each worker keeps its own prefix reuse); results are
+    shared :class:`~repro.analysis.partial_info.PartialInfoSolver`.
+    ``n_jobs`` fans the screening pass out over worker processes
+    (contiguous structure blocks, one solver each); results are
     bit-identical for every ``n_jobs``.
     """
     if e <= 0:
@@ -345,8 +344,7 @@ def _screen(
     """Loose-tolerance scoring pass; returns (qom, structure) pairs.
 
     With ``n_jobs > 1`` the structure list is split into contiguous
-    blocks (one per worker) so structures sharing ``(n1, n2)`` prefixes
-    stay on the same worker's solver.  Each structure's score depends
+    blocks, one per worker.  Each structure's score depends
     only on the structure itself, so serial and parallel runs return
     bit-identical lists in the same order.
     """
@@ -427,24 +425,17 @@ def _best_for_structure(
 ) -> Optional[ClusteringSolution]:
     """Largest-``lambda`` feasible policy for one region structure.
 
-    All bisection steps run on one :class:`PartialInfoSolver` with
-    checkpoints at the region boundaries: the cooling prefix (slots
-    ``1..n1-1``, identical for every ``lambda``) is computed once and
-    forked per step, and the hot/cooling prefixes up to ``n2`` and
-    ``n3 - 1`` are reused across structures sharing them at the same
-    ``lambda``.
+    Every bisection step is one analysis on the shared
+    :class:`PartialInfoSolver`; an activation vector that recurs in the
+    search comes back from the analysis memo.
     """
     if solver is None:
         solver = PartialInfoSolver(distribution, delta1, delta2)
-    marks = (n1 - 1, n2, n3 - 1)
 
     def evaluate(factor: float) -> tuple[ClusteringPolicy, PartialInfoAnalysis]:
         policy = ClusteringPolicy(n1, n2, n3).scaled(factor)
         analysis = solver.analyse(
-            policy.vector,
-            tail=policy.tail,
-            tail_rel_eps=tail_rel_eps,
-            checkpoint_slots=marks,
+            policy.vector, tail=policy.tail, tail_rel_eps=tail_rel_eps
         )
         return policy, analysis
 

@@ -79,8 +79,11 @@ class VectorPolicy(ActivationPolicy):
         arr = np.asarray(vector, dtype=float)
         if arr.ndim != 1:
             raise PolicyError("policy vector must be 1-D")
-        if arr.size and (arr.min() < -1e-12 or arr.max() > 1 + 1e-12):
-            raise PolicyError("activation probabilities must lie in [0, 1]")
+        # Written so that NaN (which fails every comparison) is rejected.
+        if arr.size and not (arr.min() >= -1e-12 and arr.max() <= 1 + 1e-12):
+            raise PolicyError(
+                "activation probabilities must be finite and lie in [0, 1]"
+            )
         if not -1e-12 <= tail <= 1 + 1e-12:
             raise PolicyError(f"tail probability must lie in [0, 1], got {tail}")
         self.vector = np.clip(arr, 0.0, 1.0)

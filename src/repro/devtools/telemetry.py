@@ -1,6 +1,6 @@
 """Run telemetry: counters, timers and tagged events for every run.
 
-The perf stack (vectorized kernels, the analysis memo/disk cache, the
+The perf stack (vectorized kernels, the analysis memo, the
 auto-serial parallel dispatch) makes decisions the user cannot see from
 results alone — which backend ran, why a fallback fired, whether the
 memo hit, whether ``parallel_map`` actually forked.  This module is the

@@ -729,8 +729,8 @@ class NativeScan:
             _F64P,
             _I64P,
         ]
-        # The DP entry is called once per checkpoint segment of every
-        # analysis (thousands per clustering search), so its pointers
+        # The DP entry is called at least once per analysis (thousands
+        # per clustering search), so its pointers
         # travel as plain addresses: no per-call pointer objects.
         self._pi_fn = lib.repro_pi_advance
         self._pi_fn.restype = ctypes.c_int32

@@ -1,9 +1,9 @@
 """Reusable tiered result store (memory LRU → disk).
 
-See :mod:`repro.store.tiered` for the architecture.  The
+See :mod:`repro.store.tiered` for the architecture.  The ``repro serve``
+policy store (:mod:`repro.serve`) is built on :class:`TieredStore`; the
 partial-information analysis memo (:mod:`repro.analysis.partial_info`)
-and the ``repro serve`` policy store (:mod:`repro.serve`) are both built
-on this package.
+uses a :class:`MemoryLRU` alone.
 """
 
 from __future__ import annotations

@@ -1,14 +1,12 @@
 """Tiered content-addressed result store: memory LRU → disk.
 
-Promoted out of ``analysis/partial_info.py`` (PR 3 grew a byte-budgeted
-in-process memo plus an optional on-disk ``.npz`` tier there) into a
-reusable package so every cache-shaped subsystem — the partial-info
-analysis memo, the ``repro serve`` policy store — composes the same
-two tiers instead of re-implementing them:
+Two tiers, composed by the ``repro serve`` policy store
+(:mod:`repro.serve.service`):
 
 * :class:`MemoryLRU` — a byte-budgeted, thread-safe LRU over arbitrary
   Python values.  Both an entry cap and a byte cap apply; eviction is
-  strictly least-recently-used.
+  strictly least-recently-used.  The partial-information analysis memo
+  (:mod:`repro.analysis.partial_info`) is one of these on its own.
 * :class:`DiskTier` — content-addressed blobs on disk.  Entries are
   named by the SHA-256 of their key, written atomically (``tempfile``
   in the target directory + ``os.replace``) so a reader can never
@@ -18,17 +16,15 @@ two tiers instead of re-implementing them:
 *promotes* disk hits into memory, ``put`` writes through to both
 tiers.  Values cross the disk boundary through a
 caller-supplied ``encode``/``decode`` codec over ``bytes``; ``decode``
-returning ``None`` marks the blob corrupt (counted, treated as a miss)
-— the torn-/corrupt-entry fallback the analysis cache has always had.
+returning ``None`` marks the blob corrupt (counted, treated as a miss).
 
 Keys are raw ``bytes`` (canonical request encodings); the hex SHA-256
 content address is exposed via :meth:`TieredStore.address` for
 logging, coalescing maps and on-disk names.
 
-Telemetry: with ``counter_prefix="analysis"`` a store counts
-``analysis.memo.hit`` / ``.miss`` / ``.evict`` and ``analysis.disk.hit``
-/ ``.miss`` / ``.corrupt`` — exactly the counter family PR 3/PR 5
-established.
+Telemetry: with ``counter_prefix="serve.store"`` a store counts
+``serve.store.memo.{hit,miss,evict}`` and
+``serve.store.disk.{hit,miss,corrupt}``.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Any, Callable, Optional, Tuple
 
 from repro.devtools import telemetry
 from repro.exceptions import ReproError
@@ -229,9 +225,7 @@ class TieredStore:
         such entries count as corrupt and fall through to a miss
         instead of raising.
     disk_dir:
-        Directory for the disk tier: a path, a zero-argument callable
-        returning a path or ``None`` (evaluated per call, so callers
-        can key it on an environment variable), or ``None`` to disable.
+        Directory for the disk tier, or ``None`` to disable it.
     counter_prefix:
         When set, tier traffic is counted through
         :mod:`repro.devtools.telemetry` as
@@ -246,7 +240,7 @@ class TieredStore:
         memory: MemoryLRU,
         encode: Callable[[Any], bytes],
         decode: Callable[[bytes], Optional[Any]],
-        disk_dir: Union[str, Callable[[], Optional[str]], None] = None,
+        disk_dir: Optional[str] = None,
         counter_prefix: Optional[str] = None,
         file_prefix: str = "entry-",
         file_suffix: str = ".bin",
@@ -270,13 +264,10 @@ class TieredStore:
             telemetry.count(f"{self._prefix}.{name}", n)
 
     def _disk(self) -> Optional[DiskTier]:
-        directory = self._disk_dir
-        if callable(directory):
-            directory = directory()
-        if not directory:
+        if not self._disk_dir:
             return None
         return DiskTier(
-            str(directory), prefix=self._file_prefix, suffix=self._file_suffix
+            self._disk_dir, prefix=self._file_prefix, suffix=self._file_suffix
         )
 
     # -- access --------------------------------------------------------

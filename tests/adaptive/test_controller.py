@@ -209,10 +209,10 @@ class TestQuantization:
 
 
 class TestPartialInfoLoop:
-    def test_pi_resolve_reuses_checkpointed_dp(self) -> None:
-        """A partial-info re-solve must hit the PR-3 DP prefix
-        checkpoints (within the solve) — the warm-re-solve machinery
-        the adaptive loop is built on."""
+    def test_pi_resolve_reuses_memo(self) -> None:
+        """A partial-info re-solve of an unchanged fit comes back from
+        the analysis memo — the warm-re-solve machinery the adaptive
+        loop is built on — and equals a cold solve."""
         sim = _make_sim(
             WeibullInterArrival(12, 2),
             full_info=False,
@@ -221,10 +221,8 @@ class TestPartialInfoLoop:
         controller = AdaptiveController(
             sim, e=0.5, chunk_slots=2000, solve_kwargs=FAST_SOLVE
         )
-        with telemetry.collect() as col:
-            controller.run(3)
+        controller.run(3)
         assert controller.n_resolves >= 1
-        assert col.counters.get("analysis.prefix.hit", 0) > 0
         # Re-solving the identical quantized distribution again must
         # come back from the analysis memo without a single recompute ...
         fitted = controller.current_distribution

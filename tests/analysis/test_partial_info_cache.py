@@ -1,10 +1,8 @@
-"""Cache/checkpoint equivalence for the partial-information analysis.
+"""Memo and solver-reuse equivalence for the partial-information analysis.
 
-The tentpole contract of the cached, checkpointed, parallel optimiser:
-no matter how a result is produced — streamed fresh, replayed from the
-in-process memo, loaded from the on-disk cache, resumed from a prefix
-checkpoint, or computed across worker processes — the returned numbers
-are bit-identical to the uncached serial reference.
+No matter how a result is produced — streamed fresh, replayed from the
+in-process memo, or computed on a solver that has run other analyses —
+the returned numbers are bit-identical to a fresh, uncached analysis.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from repro.analysis.partial_info import (
 )
 from repro.core.clustering import optimize_clustering
 from repro.events import EmpiricalInterArrival, WeibullInterArrival
+from repro.sim import _native
 
 DELTA1, DELTA2 = 1.0, 6.0
 
@@ -65,19 +64,6 @@ class TestMemoEquivalence:
         )
         assert warm is cold  # memo returns the cached instance
 
-    def test_disabled_memo_matches(self, small_weibull, monkeypatch):
-        vec = _vector(small_weibull)
-        cached = analyse_partial_info_policy(
-            small_weibull, vec, DELTA1, DELTA2
-        )
-        monkeypatch.setenv("REPRO_ANALYSIS_MEMO", "0")
-        fresh = analyse_partial_info_policy(
-            small_weibull, vec, DELTA1, DELTA2
-        )
-        assert fresh is not cached
-        _assert_identical(fresh, cached)
-        assert analysis_cache_size() == 1  # disabled run did not store
-
     def test_memo_key_separates_parameters(self, small_weibull):
         vec = _vector(small_weibull)
         analyse_partial_info_policy(small_weibull, vec, DELTA1, DELTA2)
@@ -104,39 +90,6 @@ class TestMemoEquivalence:
         assert a.fingerprint != c.fingerprint
 
 
-class TestDiskCacheEquivalence:
-    def test_round_trip_is_bit_identical(
-        self, small_weibull, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", str(tmp_path))
-        vec = _vector(small_weibull)
-        stored = analyse_partial_info_policy(
-            small_weibull, vec, DELTA1, DELTA2
-        )
-        assert list(tmp_path.glob("pia-*.npz"))
-        clear_analysis_cache()  # force the disk path
-        loaded = analyse_partial_info_policy(
-            small_weibull, vec, DELTA1, DELTA2
-        )
-        _assert_identical(loaded, stored)
-
-    def test_corrupt_entry_falls_back_to_computing(
-        self, small_weibull, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_ANALYSIS_CACHE", str(tmp_path))
-        vec = _vector(small_weibull)
-        reference = analyse_partial_info_policy(
-            small_weibull, vec, DELTA1, DELTA2
-        )
-        for entry in tmp_path.glob("pia-*.npz"):
-            entry.write_bytes(b"not an npz payload")
-        clear_analysis_cache()
-        recomputed = analyse_partial_info_policy(
-            small_weibull, vec, DELTA1, DELTA2
-        )
-        _assert_identical(recomputed, reference)
-
-
 class TestOptimizerEquivalence:
     def _key(self, sol):
         p = sol.policy
@@ -147,21 +100,11 @@ class TestOptimizerEquivalence:
             sol.analysis.beta_hat.tobytes(),
         )
 
-    def test_cold_warm_parallel_disabled_identical(
-        self, small_weibull, monkeypatch
-    ):
+    def test_cold_warm_identical(self, small_weibull):
+        # n_jobs=2 == n_jobs=1 is tests/sim/test_forced_fork.py's.
         cold = optimize_clustering(small_weibull, 0.5, DELTA1, DELTA2)
         warm = optimize_clustering(small_weibull, 0.5, DELTA1, DELTA2)
-        clear_analysis_cache()
-        parallel = optimize_clustering(
-            small_weibull, 0.5, DELTA1, DELTA2, n_jobs=2
-        )
-        clear_analysis_cache()
-        monkeypatch.setenv("REPRO_ANALYSIS_MEMO", "0")
-        disabled = optimize_clustering(small_weibull, 0.5, DELTA1, DELTA2)
         assert self._key(cold) == self._key(warm)
-        assert self._key(cold) == self._key(parallel)
-        assert self._key(cold) == self._key(disabled)
 
 
 pmf_weights = st.lists(
@@ -177,47 +120,29 @@ activation_vectors = st.lists(
 )
 
 
-class TestCheckpointForkEquivalence:
-    @given(pmf_weights, activation_vectors, st.integers(min_value=1, max_value=13))
-    @settings(max_examples=60, deadline=None)
-    def test_forked_prefix_matches_streamed_reference(
-        self, weights, activation, mark
-    ):
-        """Resuming from a checkpointed DP prefix must be exact.
-
-        A solver analyses one vector with a checkpoint, then analyses a
-        second vector sharing that prefix (resuming from the snapshot);
-        the result must equal a fresh, checkpoint-free analysis bit for
-        bit — the block-invariance contract of the streamed DP.
-        """
-        total = sum(weights)
-        distribution = EmpiricalInterArrival([w / total for w in weights])
-        vec = np.asarray(activation, dtype=float)
-        mark = min(mark, vec.size - 1)
-
-        solver = PartialInfoSolver(distribution, DELTA1, DELTA2)
-        solver.analyse(vec, checkpoint_slots=(mark,))
-        # A sibling vector sharing the prefix up to the checkpoint.
-        sibling = vec.copy()
-        sibling[mark:] = np.minimum(sibling[mark:] + 0.5, 1.0)
-        forked = solver.analyse(sibling, checkpoint_slots=(mark,))
-
-        reference = analyse_partial_info_policy(
-            distribution, sibling, DELTA1, DELTA2
-        )
-        _assert_identical(forked, reference)
-
-    @given(pmf_weights, activation_vectors)
+class TestSolverReuse:
+    @given(pmf_weights, st.lists(activation_vectors, min_size=2, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_repeat_analysis_on_one_solver_is_stable(
-        self, weights, activation
+        self, weights, activations
     ):
+        """Interleaved analyses on one solver equal fresh analyses, on
+        the C DP and on the numpy reference: the solver's shared
+        ``beta``/``1 - beta`` arrays carry no state between analyses."""
         total = sum(weights)
         distribution = EmpiricalInterArrival([w / total for w in weights])
-        vec = np.asarray(activation, dtype=float)
-        solver = PartialInfoSolver(distribution, DELTA1, DELTA2)
-        marks = tuple(range(1, vec.size))
-        first = solver.analyse(vec, checkpoint_slots=marks)
-        clear_analysis_cache()  # defeat the memo, keep the checkpoints
-        second = solver.analyse(vec, checkpoint_slots=marks)
-        _assert_identical(first, second)
+        vectors = [np.asarray(a, dtype=float) for a in activations]
+        for native in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                if not native:  # the numpy reference, as without gcc
+                    patch.setattr(_native, "_lib_tried", True)
+                    patch.setattr(_native, "_lib_cache", None)
+                solver = PartialInfoSolver(distribution, DELTA1, DELTA2)
+                for vec in vectors + vectors[::-1]:
+                    clear_analysis_cache()
+                    reused = solver.analyse(vec)
+                    clear_analysis_cache()
+                    fresh = analyse_partial_info_policy(
+                        distribution, vec, DELTA1, DELTA2
+                    )
+                    _assert_identical(reused, fresh)

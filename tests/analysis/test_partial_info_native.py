@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.partial_info import (
     PartialInfoAnalysis,
-    PartialInfoSolver,
     analyse_partial_info_policy,
     clear_analysis_cache,
 )
@@ -137,46 +136,6 @@ class TestNativeMatchesReference:
             )
         )
         assert_identical(native, reference)
-
-    @given(
-        pmf_weights,
-        activation_vectors,
-        st.lists(st.integers(min_value=1, max_value=19), max_size=3),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_forked_checkpoint_runs(self, weights, activation, marks):
-        """Checkpoints captured on one path resume exactly on either."""
-        distribution = _empirical(weights)
-        vec = np.asarray(activation)
-        sibling = vec.copy()
-        cut = min(marks, default=vec.size)
-        sibling[cut:] = np.minimum(sibling[cut:] + 0.5, 1.0)
-        streamed = both_paths(
-            lambda: analyse_partial_info_policy(
-                distribution, sibling, DELTA1, DELTA2
-            )
-        )
-        for capture_native in (True, False):
-            for resume_native in (True, False):
-                solver = PartialInfoSolver(distribution, DELTA1, DELTA2)
-                clear_analysis_cache()
-                with _path(capture_native):
-                    solver.analyse(vec, checkpoint_slots=marks)
-                clear_analysis_cache()
-                with _path(resume_native):
-                    forked = solver.analyse(sibling, checkpoint_slots=marks)
-                clear_analysis_cache()
-                assert_identical(forked, streamed[0])
-                assert_identical(forked, streamed[1])
-
-
-@contextmanager
-def _path(native: bool) -> Iterator[None]:
-    if native:
-        yield
-    else:
-        with reference_only():
-            yield
 
 
 def _run_one_slot(a: np.ndarray, b: np.ndarray, lo: int) -> Tuple[float, float]:

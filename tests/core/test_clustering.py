@@ -50,6 +50,31 @@ class TestPolicyConstruction:
         p = ClusteringPolicy(n1=2, n2=2, n3=4, c_n1=c, c_n2=0.3)
         assert p.vector[1] == pytest.approx(0.3)
 
+    @pytest.mark.parametrize(
+        "c_n1,c_n2,accepted",
+        [
+            (0.3, 0.3, True),
+            (0.3 * (1 + 0.9e-9), 0.3, True),
+            (0.3 * (1 + 1.1e-9), 0.3, False),
+            (0.3 * (1 - 1.1e-9), 0.3, False),
+            (1.0, 1.0 - 0.9e-9, True),
+            (1.0, 1.0 - 1.1e-9, False),
+            (1e-12, 0.0, True),
+            (0.0, 0.9e-12, True),
+            (1.1e-12, 0.0, False),
+        ],
+    )
+    def test_single_slot_hot_region_tolerance_matches_isclose(
+        self, c_n1, c_n2, accepted
+    ):
+        # The constructor's scalar test keeps np.isclose's accept/reject edge.
+        assert bool(np.isclose(c_n1, c_n2, rtol=1e-9, atol=1e-12)) is accepted
+        if accepted:
+            ClusteringPolicy(n1=2, n2=2, n3=4, c_n1=c_n1, c_n2=c_n2)
+        else:
+            with pytest.raises(PolicyError):
+                ClusteringPolicy(n1=2, n2=2, n3=4, c_n1=c_n1, c_n2=c_n2)
+
     def test_recovery_coincides_with_hot_exit(self):
         p = ClusteringPolicy(n1=1, n2=3, n3=3, c_n2=0.2, c_n3=0.8)
         assert p.vector[2] == pytest.approx(0.8)  # larger boundary wins

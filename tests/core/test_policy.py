@@ -50,6 +50,16 @@ class TestVectorPolicy:
         with pytest.raises(PolicyError):
             VectorPolicy(np.array([0.5]), tail=-0.2)
 
+    @pytest.mark.parametrize(
+        "vector",
+        [[0.2, np.nan, 1.0], [np.nan], [0.5, np.inf], [-np.inf, 0.5]],
+        ids=["nan-inside", "nan-only", "inf", "-inf"],
+    )
+    def test_rejects_non_finite_entries(self, vector):
+        # NaN passes a min()/max() range test unless it is written to fail.
+        with pytest.raises(PolicyError, match="finite"):
+            VectorPolicy(np.array(vector), tail=1.0)
+
     def test_clips_rounding_noise(self):
         p = VectorPolicy(np.array([1.0 + 5e-13, -5e-13]))
         assert p.activation_probability(1, 1) == 1.0

@@ -1,10 +1,10 @@
 """Tiered policy/result store: LRU budgets, atomic disk tier, promotion.
 
-The store package backs both the partial-info analysis memo and the
-``repro serve`` policy store, so these tests pin its contracts
-directly: byte-budgeted strictly-LRU eviction (including under thread
-contention), torn-write-proof disk publication, corrupt-entry fallback,
-and hit promotion from disk into memory.
+The store package backs the ``repro serve`` policy store, and its
+memory LRU the partial-info analysis memo, so these tests pin its
+contracts directly: byte-budgeted strictly-LRU eviction (including
+under thread contention), torn-write-proof disk publication,
+corrupt-entry fallback, and hit promotion from disk into memory.
 """
 
 from __future__ import annotations
@@ -252,17 +252,3 @@ class TestTieredStore:
         assert TieredStore.address(b"abc") == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
-
-    def test_callable_disk_dir_resolved_per_call(self, tmp_path):
-        current = {"dir": None}
-        store = TieredStore(
-            memory=MemoryLRU(8, 10_000),
-            encode=lambda v: json.dumps(v).encode(),
-            decode=_decode_json,
-            disk_dir=lambda: current["dir"],
-        )
-        store.put(b"k", {"x": 7})
-        assert list(tmp_path.iterdir()) == []  # disk tier was off
-        current["dir"] = str(tmp_path)
-        store.put(b"k", {"x": 7})
-        assert len(list(tmp_path.iterdir())) == 1
