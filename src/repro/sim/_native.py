@@ -33,18 +33,23 @@ The same library carries the partial-information hazard DP of
 :meth:`NativeScan.pi_advancer`), so there is one source, one compile and
 one cached object.  Its sums follow numpy's pairwise order, so it is
 ``==`` to the numpy reference DP, which runs when the library is absent.
+It also carries numpy ``SeedSequence``'s entropy hash
+(``repro_seed_children``, through :meth:`NativeScan.seed_children`),
+which :mod:`repro.sim.rng` uses to derive every run's sub-streams;
+without the library they derive through numpy, to the same words.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import os
 import pathlib
 import shutil
 import subprocess
 import tempfile
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -592,6 +597,89 @@ int32_t repro_pi_advance(
     return status;
 }
 
+/* ------------------------------------------------------------------
+ * Sub-stream seeding (repro.sim.rng): numpy SeedSequence's entropy
+ * hash (numpy/random/bit_generator.pyx) for pool_size 4.
+ *
+ * Parent p's assembled entropy words (entropy zero-padded to the pool
+ * size, then the spawn key; at least 4 words) are
+ * words[offsets[p] : offsets[p + 1]].  Child c of that parent appends
+ * the one spawn-key word c, so the pool mixing of the parent's words is
+ * done once and only the last word is mixed per child.  out[(p * count
+ * + c) * 4 + k] is word k of SeedSequence(...).spawn(count)[c]
+ * .generate_state(4, np.uint64): the little-endian pairs of its eight
+ * uint32 state words.
+ * ------------------------------------------------------------------ */
+#define SS_POOL 4
+#define SS_INIT_A 0x43b0d7e5u
+#define SS_MULT_A 0x931e8875u
+#define SS_INIT_B 0x8b51f9ddu
+#define SS_MULT_B 0x58f38dedu
+#define SS_MIX_L 0xca01f9ddu
+#define SS_MIX_R 0x4973f715u
+#define SS_XSHIFT 16
+
+static uint32_t ss_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SS_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> SS_XSHIFT);
+}
+
+static uint32_t ss_mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = SS_MIX_L * x - SS_MIX_R * y;
+    return result ^ (result >> SS_XSHIFT);
+}
+
+void repro_seed_children(
+    int64_t n_parents,
+    const int64_t *offsets,  /* n_parents + 1 word offsets */
+    const uint32_t *words,
+    int64_t count,
+    uint64_t *out)           /* (n_parents * count, 4) */
+{
+    int64_t p, c, i, j;
+    for (p = 0; p < n_parents; p++) {
+        const uint32_t *w = words + offsets[p];
+        const int64_t n_words = offsets[p + 1] - offsets[p];
+        uint32_t pool[SS_POOL], hash_const = SS_INIT_A;
+        for (i = 0; i < SS_POOL; i++) pool[i] = ss_hashmix(w[i], &hash_const);
+        for (i = 0; i < SS_POOL; i++) {
+            for (j = 0; j < SS_POOL; j++) {
+                if (i != j) {
+                    pool[j] = ss_mix(pool[j], ss_hashmix(pool[i], &hash_const));
+                }
+            }
+        }
+        for (i = SS_POOL; i < n_words; i++) {
+            for (j = 0; j < SS_POOL; j++) {
+                pool[j] = ss_mix(pool[j], ss_hashmix(w[i], &hash_const));
+            }
+        }
+        for (c = 0; c < count; c++) {
+            uint32_t child[SS_POOL], state[2 * SS_POOL];
+            uint32_t child_const = hash_const, out_const = SS_INIT_B;
+            uint64_t *dst = out + (p * count + c) * SS_POOL;
+            for (j = 0; j < SS_POOL; j++) {
+                child[j] = ss_mix(pool[j],
+                                  ss_hashmix((uint32_t)c, &child_const));
+            }
+            for (i = 0; i < 2 * SS_POOL; i++) {
+                uint32_t value = child[i % SS_POOL] ^ out_const;
+                out_const *= SS_MULT_B;
+                value *= out_const;
+                state[i] = value ^ (value >> SS_XSHIFT);
+            }
+            for (i = 0; i < SS_POOL; i++) {
+                dst[i] = (uint64_t)state[2 * i]
+                         | ((uint64_t)state[2 * i + 1] << 32);
+            }
+        }
+    }
+}
+
 int32_t repro_openmp_enabled(void)
 {
 #ifdef _OPENMP
@@ -630,55 +718,40 @@ def _c(arr: np.ndarray, dtype: type) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
+def _flags(arr: np.ndarray) -> np.ndarray:
+    """Event flags as contiguous uint8; a contiguous bool array is viewed."""
+    if arr.dtype == np.bool_ and arr.flags.c_contiguous:
+        return arr.view(np.uint8)
+    return _c(arr, np.uint8)
+
+
 class NativeScan:
     """ctypes wrapper around the compiled scan symbols."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
+        # The single-run entries and the seed hash run once per
+        # simulate_single / simulate_network call, and the DP entry at
+        # least once per analysis (thousands per clustering search), so
+        # they take void pointers: numpy buffers pass as `.ctypes.data`
+        # addresses, small outputs as ctypes arrays and scalars as plain
+        # Python numbers, with no per-argument pointer casts.
+        _P = ctypes.c_void_p
+        _I64, _I32, _F64 = ctypes.c_int64, ctypes.c_int32, ctypes.c_double
         self._fn = lib.repro_scan
         self._fn.restype = None
         self._fn.argtypes = [
-            ctypes.c_int64,
-            _F64P,
-            _U8P,
-            _F64P,
-            _F64P,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_int32,
-            ctypes.c_int32,
-            ctypes.c_int32,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_int64,
-            _I64P,
-            _F64P,
-            _U8P,
+            _I64, _P, _P, _P, _P, _I64, _F64, _I32, _I32, _I32,
+            _F64, _F64, _F64, _F64, _F64, _I64, _P, _P, _P,
         ]
         self._net_fn = lib.repro_network_scan
         self._net_fn.restype = None
         self._net_fn.argtypes = [
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _F64P,
-            _U8P,
-            _F64P,
-            _I64P,
-            _F64P,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_int32,
-            ctypes.c_int32,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            _I64P,
-            _F64P,
-            _I64P,
+            _I64, _I64, _P, _P, _P, _P, _P, _I64, _F64, _I32, _I32,
+            _F64, _F64, _F64, _F64, _P, _P, _P,
         ]
+        self._seed_fn = lib.repro_seed_children
+        self._seed_fn.restype = None
+        self._seed_fn.argtypes = [_I64, _P, _P, _I64, _P]
         self._batch_fn = lib.repro_batch_scan
         self._batch_fn.restype = None
         self._batch_fn.argtypes = [
@@ -729,28 +802,11 @@ class NativeScan:
             _F64P,
             _I64P,
         ]
-        # The DP entry is called at least once per analysis (thousands
-        # per clustering search), so its pointers
-        # travel as plain addresses: no per-call pointer objects.
         self._pi_fn = lib.repro_pi_advance
         self._pi_fn.restype = ctypes.c_int32
         self._pi_fn.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_int64,
-            ctypes.c_void_p,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_int64,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
+            _P, _P, _I64, _P, _I64, _F64, _F64, _F64, _I64, _F64, _I64,
+            _P, _P, _P, _P, _P,
         ]
         omp_fn = lib.repro_openmp_enabled
         omp_fn.restype = ctypes.c_int32
@@ -799,48 +855,38 @@ class NativeScan:
         ``out_captured`` receives the per-slot capture flags.
         """
         horizon = cs.shape[0]
+        cs_c = _c(cs, np.float64)
+        ev_c = _flags(events)
+        coin_c = _c(coins, np.float64)
+        table_c = _c(table, np.float64)
+        table_size = table_c.shape[0]
+        if min(ev_c.size, coin_c.size) < horizon or (
+            slot_mode and table_size < horizon
+        ):
+            raise SimulationError("scan: events, coins or slot table too short")
         if out_captured is not None and not (
             out_captured.dtype == np.uint8 and out_captured.size >= horizon
             and out_captured.flags.c_contiguous
         ):
             raise SimulationError("out_captured: need contiguous uint8[horizon]")
-        cs_c = _c(cs, np.float64)
-        ev_c = _c(events, np.uint8)
-        coin_c = _c(coins, np.float64)
-        table_c = _c(table, np.float64)
-        table_size = table_c.shape[0]
         if table_size == 0:  # keep the pointer valid; never dereferenced
             table_c = np.zeros(1, dtype=np.float64)
-        counts = np.zeros(7, dtype=np.int64)
-        state = np.zeros(2, dtype=np.float64)
+        # Per call, so concurrent scans (serve's threads) share no buffer.
+        counts = (ctypes.c_int64 * 7)()
+        state = (ctypes.c_double * 2)()
         self._fn(
-            ctypes.c_int64(horizon),
-            cs_c.ctypes.data_as(_F64P),
-            ev_c.ctypes.data_as(_U8P),
-            coin_c.ctypes.data_as(_F64P),
-            table_c.ctypes.data_as(_F64P),
-            ctypes.c_int64(table_size),
-            ctypes.c_double(tail),
-            ctypes.c_int32(1 if slot_mode else 0),
-            ctypes.c_int32(1 if full_info else 0),
-            ctypes.c_int32(1 if compute_aoi else 0),
-            ctypes.c_double(capacity),
-            ctypes.c_double(delta1),
-            ctypes.c_double(delta2),
-            ctypes.c_double(initial),
-            ctypes.c_double(initial_shave),
-            ctypes.c_int64(initial_recency),
-            counts.ctypes.data_as(_I64P),
-            state.ctypes.data_as(_F64P),
-            None if out_captured is None else out_captured.ctypes.data_as(_U8P),
+            horizon, cs_c.ctypes.data, ev_c.ctypes.data, coin_c.ctypes.data,
+            table_c.ctypes.data, table_size, tail, 1 if slot_mode else 0,
+            1 if full_info else 0, 1 if compute_aoi else 0, capacity, delta1,
+            delta2, initial, initial_shave, initial_recency,
+            counts, state,
+            None if out_captured is None else out_captured.ctypes.data,
         )
+        activations, captures, blocked, area, area_sq, max_age, last = counts
+        neg, shave = state
         return (
-            int(counts[0]),
-            int(counts[1]),
-            int(counts[2]),
-            float(state[0]),
-            float(state[1]),
-            (int(counts[3]), int(counts[4]), int(counts[5]), int(counts[6])),
+            activations, captures, blocked, neg, shave,
+            (area, area_sq, max_age, last),
         )
 
     def scan_batch(
@@ -929,37 +975,58 @@ class NativeScan:
         """
         n_sensors, horizon = cs.shape
         cs_c = _c(cs, np.float64)
-        ev_c = _c(events, np.uint8)
+        ev_c = _flags(events)
         coin_c = _c(coins, np.float64)
         resp_c = _c(resp, np.int64)
         table_c = _c(table, np.float64)
         table_size = table_c.shape[0]
+        if min(ev_c.size, coin_c.size, resp_c.size) < horizon or (
+            slot_mode and table_size < horizon
+        ):
+            raise SimulationError(
+                "scan_network: events, coins, resp or slot table too short"
+            )
         if table_size == 0:  # keep the pointer valid; never dereferenced
             table_c = np.zeros(1, dtype=np.float64)
-        counts = np.zeros((n_sensors, 4), dtype=np.int64)
-        state = np.zeros((n_sensors, 2), dtype=np.float64)
-        aoi = np.zeros(4, dtype=np.int64)
+        counts = np.empty((n_sensors, 4), dtype=np.int64)
+        state = np.empty((n_sensors, 2), dtype=np.float64)
+        aoi = np.empty(4, dtype=np.int64)
         self._net_fn(
-            ctypes.c_int64(horizon),
-            ctypes.c_int64(n_sensors),
-            cs_c.ctypes.data_as(_F64P),
-            ev_c.ctypes.data_as(_U8P),
-            coin_c.ctypes.data_as(_F64P),
-            resp_c.ctypes.data_as(_I64P),
-            table_c.ctypes.data_as(_F64P),
-            ctypes.c_int64(table_size),
-            ctypes.c_double(tail),
-            ctypes.c_int32(1 if slot_mode else 0),
-            ctypes.c_int32(1 if full_info else 0),
-            ctypes.c_double(capacity),
-            ctypes.c_double(delta1),
-            ctypes.c_double(delta2),
-            ctypes.c_double(initial),
-            counts.ctypes.data_as(_I64P),
-            state.ctypes.data_as(_F64P),
-            aoi.ctypes.data_as(_I64P),
+            horizon, n_sensors, cs_c.ctypes.data, ev_c.ctypes.data,
+            coin_c.ctypes.data, resp_c.ctypes.data, table_c.ctypes.data,
+            table_size, tail, 1 if slot_mode else 0, 1 if full_info else 0,
+            capacity, delta1, delta2, initial,
+            counts.ctypes.data, state.ctypes.data, aoi.ctypes.data,
         )
         return counts, state, aoi
+
+    def seed_children(
+        self, parents: Sequence[Sequence[int]], count: int
+    ) -> np.ndarray:
+        """The seed words of ``count`` spawned children of each parent.
+
+        ``parents[p]`` is a parent ``SeedSequence``'s assembled entropy
+        as uint32 words: its entropy zero-padded to 4 words, then its
+        spawn key (pool size 4 only).  Row ``p * count + c`` of the
+        returned ``(len(parents) * count, 4)`` uint64 array equals
+        ``parent_p.spawn(count)[c].generate_state(4, np.uint64)`` for a
+        parent that has spawned nothing yet — what ``PCG64`` seeds from.
+        """
+        lengths = [len(words) for words in parents]
+        if min(lengths, default=4) < 4 or not 0 <= count < 2**32:
+            raise SimulationError(
+                "seed_children: need >= 4 words per parent and 0 <= count < 2**32"
+            )
+        flat = [word for words in parents for word in words]
+        out = (ctypes.c_uint64 * (4 * len(parents) * count))()
+        self._seed_fn(
+            len(parents),
+            (ctypes.c_int64 * (len(parents) + 1))(0, *itertools.accumulate(lengths)),
+            (ctypes.c_uint32 * len(flat))(*flat),
+            count,
+            out,
+        )
+        return np.frombuffer(out, dtype=np.uint64).reshape(-1, 4)
 
     def scan_network_batch(
         self,

@@ -56,7 +56,7 @@ from repro.events.base import InterArrivalDistribution
 from repro.exceptions import SimulationError
 from repro.sim import engine, kernel
 from repro.sim._native import require_native_scan
-from repro.sim.rng import SeedLike, make_rng, spawn
+from repro.sim.rng import SeedLike, spawn_substreams
 
 __all__ = ["ChunkResult", "ChunkedSimulator"]
 
@@ -141,8 +141,7 @@ class ChunkedSimulator:
                 seed=telemetry.describe_seed(seed),
             )
 
-        rng = make_rng(seed)
-        self._event_rng, recharge_rng, coin_rng = spawn(rng, 3)
+        self._event_rng, recharge_rng, coin_rng = spawn_substreams(seed, 3)
         self._recharge = recharge.sequence(self.total_horizon, recharge_rng)
         self._cs = np.cumsum(self._recharge)  # cs[t] = cum after slot t+1
         self._coins = coin_rng.random(self.total_horizon)

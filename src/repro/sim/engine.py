@@ -58,7 +58,7 @@ from repro.events.renewal import generate_event_flags
 from repro.exceptions import SimulationError
 from repro.sim import kernel
 from repro.sim.metrics import AoIStats, SimulationResult
-from repro.sim.rng import SeedLike, make_rng, spawn
+from repro.sim.rng import SeedLike, spawn_substreams
 
 #: Valid values of the ``backend`` argument.
 BACKENDS = ("auto", "reference", "vectorized")
@@ -106,7 +106,7 @@ def _draw(
     horizon: int, seed: SeedLike,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Events, recharge and coins from ``seed``'s three sub-streams."""
-    event_rng, recharge_rng, coin_rng = spawn(make_rng(seed), 3)
+    event_rng, recharge_rng, coin_rng = spawn_substreams(seed, 3)
     events = generate_event_flags(distribution, horizon, event_rng)
     amounts = recharge.sequence(horizon, recharge_rng)
     return events, amounts, coin_rng.random(horizon)

@@ -44,7 +44,7 @@ from repro.exceptions import SimulationError
 from repro.sim.engine import BACKENDS, _check_run
 from repro.sim.metrics import AoIStats, SensorStats, SimulationResult
 from repro.sim.parallel import parallel_map, resolve_n_jobs
-from repro.sim.rng import SeedLike, make_rng, spawn
+from repro.sim.rng import SeedLike, spawn_substreams
 
 
 def simulate_network(
@@ -77,8 +77,7 @@ def simulate_network(
         )
     start = _check_run(horizon, capacity, delta1, delta2, initial_energy)
     n = coordinator.n_sensors
-    rng = make_rng(seed)
-    event_rng, coin_rng, *recharge_rngs = spawn(rng, 2 + n)
+    event_rng, coin_rng, *recharge_rngs = spawn_substreams(seed, 2 + n)
 
     events = generate_event_flags(distribution, horizon, event_rng)
     coins = coin_rng.random(horizon)

@@ -6,6 +6,22 @@ ready-made :class:`numpy.random.Generator`.  Independent sub-streams
 derived with :func:`spawn` so results are reproducible regardless of how
 many random numbers each consumer draws.
 
+Stream derivation: the sub-streams of a run are, by definition,
+``spawn(make_rng(seed), count)`` — child ``i`` is
+``PCG64(SeedSequence(entropy, spawn_key=parent_key + (i,)))``.  The
+simulation entry points derive them through :func:`spawn_substreams` and
+:func:`bulk_substreams`, which hash the children's seed words in C
+(``repro_seed_children`` in :mod:`repro.sim._native`, a transcription of
+numpy's ``SeedSequence`` entropy hash for pool size 4).  The parent's
+pool mixing is hashed once per parent and the child's spawn-key word
+once per child, and each ``PCG64`` seeds itself from the precomputed
+words (:class:`_PrecomputedSeedWords`); the words equal
+``SeedSequence(...).generate_state(4, np.uint64)`` (property-tested), so
+the streams are byte-identical.  Seeds the C hash does not take — a live
+``Generator`` (stateful spawning), ``None`` (fresh OS entropy), a
+non-default ``pool_size``, negative or non-integer entropy — and hosts
+without the compiled library derive through numpy's own ``SeedSequence``.
+
 Compatibility note: since the repro-lint PR, :func:`spawn` derives
 children through :class:`numpy.random.SeedSequence` spawning instead of
 drawing raw 63-bit integer seeds from the parent stream.  SeedSequence
@@ -19,18 +35,19 @@ tests pin distributional bounds, not the old bit patterns.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro.exceptions import SimulationError
-
-try:  # numpy >= 1.17 ships the seed-sequence protocol ABC
-    from numpy.random.bit_generator import ISeedSequence
-except ImportError:  # pragma: no cover - ancient numpy
-    ISeedSequence = None
+from repro.sim._native import get_native_scan
 
 SeedLike = Union[int, np.random.Generator, np.random.SeedSequence, None]
+
+#: The SeedSequence pool size the C hash is written for (numpy's default).
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -119,79 +136,68 @@ def spawn_seeds(
 def spawn_substreams(
     seed: SeedLike, count: int
 ) -> List[np.random.Generator]:
-    """The sub-streams ``spawn(make_rng(seed), count)`` yields, leaner.
+    """The sub-streams ``spawn(make_rng(seed), count)`` yields, cheaply.
 
-    ``make_rng`` builds a parent :class:`~numpy.random.Generator` whose
-    bit generator is consumed only for spawning; for seed-like inputs
-    (``int``, ``SeedSequence``, ``None``) the children's seed sequences
-    are a pure function of the parent's entropy and spawn key, so this
-    helper constructs them directly and skips the parent's PCG64
-    initialisation and defensive copy.  Streams are bit-identical to the
-    ``make_rng`` + :func:`spawn` protocol (regression-tested), which is
-    what the batched simulation packer relies on: deriving three
-    sub-streams per run must not dominate a thousand-run batch.
-
-    A :class:`~numpy.random.Generator` input falls back to stateful
-    spawning, mutating the caller's generator exactly like
-    :func:`spawn` after a ``make_rng`` passthrough.
+    For seed-like inputs (an integer, a list of integers, a
+    :class:`~numpy.random.SeedSequence`) the children's seed words are a
+    pure function of the parent's entropy and spawn key, so they are
+    hashed in C and no parent generator is built; streams are
+    bit-identical to the ``make_rng`` + :func:`spawn` protocol
+    (property-tested).  Every other input runs that protocol itself: a
+    :class:`~numpy.random.Generator` is spawned from (mutating the
+    caller's generator exactly like :func:`spawn`), ``None`` draws fresh
+    OS entropy, and a seed numpy rejects raises numpy's error.
     """
-    if isinstance(seed, np.random.Generator):
-        return spawn(seed, count)
     if count < 0:
         raise SimulationError(f"spawn count must be >= 0, got {count}")
-    if isinstance(seed, np.random.SeedSequence):
-        # make_rng copies the sequence (child counter reset to zero), so
-        # the children are those of a fresh parent.
-        parent = seed
-    else:
-        parent = np.random.SeedSequence(seed)
-    entropy = parent.entropy
-    spawn_key = parent.spawn_key
-    pool_size = parent.pool_size
-    seq = np.random.SeedSequence
-    return [
-        np.random.Generator(
-            np.random.PCG64(
-                seq(
-                    entropy=entropy,
-                    spawn_key=spawn_key + (i,),
-                    pool_size=pool_size,
-                )
-            )
-        )
-        for i in range(count)
-    ]
+    words = _parent_words(seed)
+    native = None if words is None else get_native_scan()
+    if native is None:
+        return spawn(make_rng(seed), count)
+    return _generators(native.seed_children([words], count))
 
 
-# ----------------------------------------------------------------------
-# Bulk sub-stream derivation (batched simulation packer)
-# ----------------------------------------------------------------------
-# SeedSequence's entropy-mixing constants (numpy _bit_generator.pyx).
-# The hash-constant evolution is data-independent, so hashing many
-# sequences that differ only in a few words vectorizes cleanly.
-_SS_POOL_SIZE = 4
-_SS_INIT_A = 0x43B0D7E5
-_SS_MULT_A = 0x931E8875
-_SS_INIT_B = 0x8B51F9DD
-_SS_MULT_B = 0x58F38DED
-_SS_MIX_L = 0xCA01F9DD
-_SS_MIX_R = 0x4973F715
-_SS_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
+def bulk_substreams(
+    seeds: Sequence[SeedLike], count: int
+) -> List[List[np.random.Generator]]:
+    """``[spawn_substreams(s, count) for s in seeds]``, hashed in one call.
+
+    The batched simulation packer derives ``count`` sub-streams per run;
+    here the seed words of every child of every hashable seed come from
+    one C call, and the other seeds (see :func:`spawn_substreams`) spawn
+    individually.  Streams are bit-identical to per-seed
+    :func:`spawn_substreams` (regression-tested).
+    """
+    if count < 0:
+        raise SimulationError(f"spawn count must be >= 0, got {count}")
+    native = get_native_scan()
+    out: List[List[np.random.Generator]] = [[] for _ in seeds]
+    hashed: List[int] = []
+    parents: List[List[int]] = []
+    for idx, seed in enumerate(seeds):
+        words = None if native is None else _parent_words(seed)
+        if words is None:
+            out[idx] = spawn(make_rng(seed), count)
+        else:
+            hashed.append(idx)
+            parents.append(words)
+    if native is not None and parents:
+        gens = _generators(native.seed_children(parents, count))
+        for j, idx in enumerate(hashed):
+            out[idx] = gens[j * count:(j + 1) * count]
+    return out
 
 
-class _PrecomputedSeedWords(
-    ISeedSequence if ISeedSequence is not None else object  # type: ignore[misc]
-):
+class _PrecomputedSeedWords(ISeedSequence):  # type: ignore[misc]
     """Minimal seed-sequence protocol object with precomputed words.
 
     Handing this to ``PCG64`` makes the bit generator seed itself (in C)
-    from words we already generated in bulk — the resulting stream is
-    byte-identical to seeding from the real ``SeedSequence``, without
-    re-hashing the entropy per child.  The object satisfies only the
-    ``generate_state`` protocol; it cannot be spawned from.  Subclassing
-    the ABC (rather than registering) keeps ``BitGenerator.__init__``'s
-    ``isinstance`` check on the cheap real-inheritance path.
+    from words already hashed — the resulting stream is byte-identical
+    to seeding from the real ``SeedSequence``.  The object satisfies
+    only the ``generate_state`` protocol; it cannot be spawned from.
+    Subclassing the ABC (rather than registering) keeps
+    ``BitGenerator.__init__``'s ``isinstance`` check on the cheap
+    real-inheritance path.
     """
 
     __slots__ = ("_words",)
@@ -205,147 +211,57 @@ class _PrecomputedSeedWords(
         return self._words
 
 
-def _uint32_words(value: int) -> Optional[List[int]]:
-    """``value`` as little-endian 32-bit words, SeedSequence's coercion."""
-    if value < 0:
-        return None
-    if value == 0:
-        return [0]
-    words = []
-    while value > 0:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _parent_words(seed: SeedLike) -> Optional[List[int]]:
-    """A parent's assembled entropy words, or None if not vectorizable.
-
-    Mirrors ``SeedSequence.get_assembled_entropy``: the entropy words
-    followed by the spawn-key words.  Generators (stateful spawning),
-    ``None`` seeds (fresh OS entropy per construction), non-default pool
-    sizes and exotic entropy types fall back to the per-seed path.
-    """
-    if seed is None or isinstance(seed, np.random.Generator):
-        return None
-    if isinstance(seed, np.random.SeedSequence):
-        if seed.pool_size != _SS_POOL_SIZE:
-            return None
-        entropy, spawn_key = seed.entropy, seed.spawn_key
-    else:
-        entropy, spawn_key = seed, ()
-    if not isinstance(entropy, (int, np.integer)):
-        return None
-    words = _uint32_words(int(entropy))
-    if words is None:
-        return None
-    # get_assembled_entropy zero-pads the entropy words to pool_size
-    # whenever a spawn key follows; every child spawned here has one.
-    if len(words) < _SS_POOL_SIZE:
-        words.extend([0] * (_SS_POOL_SIZE - len(words)))
-    for part in spawn_key:
-        more = _uint32_words(int(part))
-        if more is None:
-            return None
-        words.extend(more)
-    return words
-
-
-def _bulk_seed_words(rows: List[np.ndarray]) -> np.ndarray:
-    """``generate_state(4, uint64)`` of many SeedSequences at once.
-
-    ``rows[k]`` holds assembled-entropy word ``k`` of every sequence —
-    the exact uint32 word streams ``SeedSequence`` hashes.  Replays the
-    stock entropy-mixing arithmetic across the whole batch (the hash
-    constants evolve identically for every sequence, so each step is one
-    elementwise uint32 op); regression tests pin word-for-word equality
-    with per-sequence ``SeedSequence.generate_state``.
-
-    Returns a C-contiguous ``(n, 4)`` uint64 array; row ``i`` is what
-    ``PCG64`` consumes when seeded from sequence ``i``.
-    """
-    n = rows[0].shape[0]
-    hash_const = _SS_INIT_A
-
-    def _hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SS_MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _SS_XSHIFT)
-
-    def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * np.uint32(_SS_MIX_L) - y * np.uint32(_SS_MIX_R)
-        return result ^ (result >> _SS_XSHIFT)
-
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [
-        _hashmix(rows[i] if i < len(rows) else zero)
-        for i in range(_SS_POOL_SIZE)
-    ]
-    for i_src in range(_SS_POOL_SIZE):
-        for i_dst in range(_SS_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src]))
-    for i_src in range(_SS_POOL_SIZE, len(rows)):
-        for i_dst in range(_SS_POOL_SIZE):
-            pool[i_dst] = _mix(pool[i_dst], _hashmix(rows[i_src]))
-
-    hash_const = _SS_INIT_B
-    words = np.empty((n, 8), dtype=np.uint32)
-    for i_dst in range(8):
-        data = pool[i_dst % _SS_POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SS_MULT_B) & _MASK32
-        data = data * np.uint32(hash_const)
-        words[:, i_dst] = data ^ (data >> _SS_XSHIFT)
-    return words.view(np.uint64)
-
-
-def bulk_substreams(
-    seeds: Sequence[SeedLike], count: int
-) -> List[List[np.random.Generator]]:
-    """``[spawn_substreams(s, count) for s in seeds]``, vectorized.
-
-    The batched simulation packer derives ``count`` sub-streams per run;
-    done one :class:`~numpy.random.SeedSequence` at a time that costs
-    three hashes plus a PCG64 init per run and dominates a large batch.
-    Here the entropy mixing for every child of every seed runs in one
-    vectorized pass (:func:`_bulk_seed_words`) and each ``PCG64`` seeds
-    itself from its precomputed words.  Streams are bit-identical to
-    per-seed :func:`spawn_substreams` (regression-tested); seeds the
-    vectorized hash cannot express — ``Generator`` instances, ``None``
-    (fresh OS entropy per run), non-default pool sizes — fall back to it
-    individually.
-    """
-    if count < 0:
-        raise SimulationError(f"spawn count must be >= 0, got {count}")
-    out: List[Optional[List[np.random.Generator]]] = [None] * len(seeds)
-    groups: Dict[int, List[Tuple[int, List[int]]]] = {}
-    for idx, seed in enumerate(seeds):
-        words = _parent_words(seed) if ISeedSequence is not None else None
-        if words is None:
-            out[idx] = spawn_substreams(seed, count)
-        else:
-            groups.setdefault(len(words), []).append((idx, words))
+def _generators(rows: np.ndarray) -> List[np.random.Generator]:
+    """One generator per row of ``generate_state(4, np.uint64)`` words."""
     generator = np.random.Generator
     pcg64 = np.random.PCG64
     precomputed = _PrecomputedSeedWords
-    for n_words, members in groups.items():
-        parent_mat = np.array(
-            [words for _, words in members], dtype=np.uint32
-        )
-        mat = np.repeat(parent_mat, count, axis=0)
-        child_row = np.tile(
-            np.arange(count, dtype=np.uint32), len(members)
-        )
-        rows = [
-            np.ascontiguousarray(mat[:, k]) for k in range(n_words)
-        ] + [child_row]
-        gens = [
-            generator(pcg64(precomputed(row)))
-            for row in _bulk_seed_words(rows)
-        ]
-        for j, (idx, _) in enumerate(members):
-            base = j * count
-            out[idx] = gens[base:base + count]
-    return out  # type: ignore[return-value]
+    return [generator(pcg64(precomputed(row))) for row in rows]
+
+
+def _entropy_words(value: object, words: List[int]) -> bool:
+    """Append ``value``'s uint32 words, coerced the way SeedSequence does.
+
+    Integers become little-endian 32-bit words (``0`` is one word);
+    lists and tuples concatenate their elements' words.  Returns False
+    for anything else and for negative integers, which the C hash does
+    not take (numpy rejects them; the caller's fallback re-raises that).
+    """
+    for item in value if isinstance(value, (list, tuple)) else (value,):
+        if isinstance(item, (list, tuple)):
+            if not _entropy_words(item, words):
+                return False
+            continue
+        if not isinstance(item, (int, np.integer)) or item < 0:
+            return False
+        rest = int(item)
+        words.append(rest & _MASK32)
+        rest >>= 32
+        while rest:
+            words.append(rest & _MASK32)
+            rest >>= 32
+    return True
+
+
+def _parent_words(seed: SeedLike) -> Optional[List[int]]:
+    """A parent's assembled entropy words for the C hash, or None.
+
+    Mirrors ``SeedSequence.get_assembled_entropy`` for a parent whose
+    children carry a spawn key: the entropy words zero-padded to the
+    pool size, then the spawn-key words.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        if seed.pool_size != _POOL_SIZE:
+            return None
+        entropy, spawn_key = seed.entropy, seed.spawn_key
+    elif seed is None or isinstance(seed, np.random.Generator):
+        return None
+    else:
+        entropy, spawn_key = seed, ()
+    words: List[int] = []
+    if not _entropy_words(entropy, words):
+        return None
+    words.extend([0] * (_POOL_SIZE - len(words)))
+    if not _entropy_words(spawn_key, words):
+        return None
+    return words

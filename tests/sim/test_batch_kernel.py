@@ -124,14 +124,18 @@ class TestBatchBitIdentity:
         assert simulate_batch(specs) == [_single_of(s) for s in specs]
 
     def test_seed_kinds_match_per_run(self, weibull, kernel_impl):
-        """Int, SeedSequence, spawned-child and huge-entropy seeds."""
+        """Int, list, SeedSequence, spawned-child and huge-entropy seeds."""
         seeds = [
             0,
             12345,
             2**40 + 7,
             2**100 + 13,
+            [7, 5, 0, 3],
+            [2**40 + 7, [1, 2**33]],
+            [],
             np.random.SeedSequence(5),
             np.random.SeedSequence(entropy=9, spawn_key=(3,)),
+            np.random.SeedSequence(entropy=[4, 2**64], spawn_key=(1, 2)),
             spawn_seeds(123, 2)[1],
         ]
         specs = [

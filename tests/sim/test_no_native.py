@@ -8,6 +8,7 @@ return exactly the reference results and record the reason, and
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.partial_info import clear_analysis_cache
@@ -26,7 +27,7 @@ from repro.sim import (
     simulate_network_runs,
     simulate_single,
 )
-from repro.sim import _native
+from repro.sim import _native, bulk_substreams, spawn_substreams
 from repro.sim._native import NATIVE_UNAVAILABLE
 
 DELTA1, DELTA2 = 1.0, 6.0
@@ -153,3 +154,24 @@ def test_clustering_search_falls_back_to_reference_dp(monkeypatch):
         for e in t.events if e["kind"] == "backend_fallback"
     }
     assert reasons == {("partial_info", NATIVE_UNAVAILABLE)}
+
+
+def test_substreams_and_results_match_native(weibull, request):
+    """Without the library, sub-streams derive through numpy's
+    SeedSequence: the same streams, so the same simulation results."""
+    seeds = [
+        0, 2**40 + 7, [7, 5, 0, 3], np.random.SeedSequence(9, spawn_key=(3,)),
+    ]
+
+    def derive():
+        streams = [spawn_substreams(s, 3) for s in seeds]
+        streams += bulk_substreams(seeds, 3)
+        draws = [[g.random(8).tobytes() for g in gens] for gens in streams]
+        return draws, _single(weibull)("auto"), _batch(weibull)("auto")
+
+    assert _native.get_native_scan() is not None, "the C hash needs gcc/cc"
+    native = derive()
+    request.getfixturevalue("no_native")
+    assert derive() == native
+    (child,) = spawn_substreams([7, 5, 0, 3], 1)
+    assert isinstance(child.bit_generator.seed_seq, np.random.SeedSequence)

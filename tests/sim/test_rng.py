@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.sim import (
@@ -13,7 +15,8 @@ from repro.sim import (
     spawn_seeds,
     spawn_substreams,
 )
-from repro.sim.rng import _PrecomputedSeedWords, bulk_spawn
+from repro.sim._native import get_native_scan
+from repro.sim.rng import _parent_words, _PrecomputedSeedWords, bulk_spawn
 
 
 class TestMakeRng:
@@ -226,3 +229,108 @@ class TestBulkSubstreams:
         )
         stock = np.random.Generator(np.random.PCG64(seq))
         np.testing.assert_array_equal(lean.random(32), stock.random(32))
+
+
+def _c_words(seed, count):
+    """The C hash's ``generate_state(4, np.uint64)`` rows for ``seed``."""
+    native = get_native_scan()
+    assert native is not None, "the C seed hash needs gcc/cc"
+    words = _parent_words(seed)
+    assert words is not None, f"{seed!r} should take the C hash"
+    return native.seed_children([words], count)
+
+
+def _stock_words(seed_seq, count):
+    return [child.generate_state(4, np.uint64) for child in seed_seq.spawn(count)]
+
+
+def _assert_same_streams(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.random(16), b.random(16))
+
+
+_ENTROPY = st.integers(0, 2**130 - 1)
+
+
+class TestCSeedHash:
+    """``repro_seed_children`` equals numpy's SeedSequence word for word."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entropy=st.one_of(_ENTROPY, st.lists(_ENTROPY, max_size=4)),
+        key=st.lists(st.integers(0, 2**70), max_size=3),
+        count=st.integers(0, 5),
+    )
+    def test_words_equal_seed_sequence(self, entropy, key, count):
+        got = _c_words(np.random.SeedSequence(entropy, spawn_key=key), count)
+        want = _stock_words(np.random.SeedSequence(entropy, spawn_key=key), count)
+        assert got.shape == (count, 4) and got.dtype == np.uint64
+        for row, ref in zip(got, want):
+            np.testing.assert_array_equal(row, ref)
+        if not key:  # the raw entropy is the same parent
+            np.testing.assert_array_equal(_c_words(entropy, count), got)
+
+    @pytest.mark.parametrize(
+        "entropy", [0, 2**32 - 1, 2**32, np.uint64(2**63)],
+        ids=["zero", "one-word-max", "two-words", "uint64"],
+    )
+    def test_word_boundaries(self, entropy):
+        got = _c_words(entropy, 3)
+        for row, ref in zip(got, _stock_words(np.random.SeedSequence(entropy), 3)):
+            np.testing.assert_array_equal(row, ref)
+        _assert_same_streams(
+            spawn_substreams(entropy, 3), spawn(make_rng(entropy), 3)
+        )
+
+    def test_already_spawned_parent(self):
+        """Like make_rng's copy: a fresh parent's children, no mutation."""
+        parent = np.random.SeedSequence(11)
+        parent.spawn(2)
+        _assert_same_streams(
+            spawn_substreams(parent, 3), spawn(make_rng(parent), 3)
+        )
+        _assert_same_streams(
+            bulk_substreams([parent], 3)[0], spawn(make_rng(parent), 3)
+        )
+        assert parent.n_children_spawned == 2
+
+    def test_seeds_the_hash_does_not_take(self):
+        """pool_size 8, None and Generators take numpy's own path."""
+        wide = np.random.SeedSequence(5, pool_size=8)
+        assert _parent_words(wide) is None
+        _assert_same_streams(spawn_substreams(wide, 2), spawn(make_rng(wide), 2))
+        _assert_same_streams(
+            bulk_substreams([wide], 2)[0], spawn(make_rng(wide), 2)
+        )
+        assert _parent_words(np.random.default_rng(1)) is None
+        _assert_same_streams(
+            spawn_substreams(np.random.default_rng(1), 2),
+            spawn(np.random.default_rng(1), 2),
+        )
+        assert _parent_words(None) is None
+        fresh = spawn_substreams(None, 2) + bulk_substreams([None], 2)[0]
+        assert all(
+            isinstance(g.bit_generator.seed_seq, np.random.SeedSequence)
+            for g in fresh
+        )
+
+    @pytest.mark.parametrize(
+        "seed", [-1, [3, -1], 1.5, [1.5]],
+        ids=["negative", "negative-element", "float", "float-element"],
+    )
+    def test_invalid_seeds_raise_as_before(self, seed):
+        with pytest.raises((ValueError, TypeError)) as stock:
+            spawn(make_rng(seed), 3)
+        with pytest.raises(stock.type):
+            spawn_substreams(seed, 3)
+        with pytest.raises(stock.type):
+            bulk_substreams([0, seed], 3)
+
+    def test_entry_rejects_short_parents(self):
+        native = get_native_scan()
+        assert native is not None, "the C seed hash needs gcc/cc"
+        with pytest.raises(SimulationError, match="4 words"):
+            native.seed_children([[1, 2, 3]], 1)
+        with pytest.raises(SimulationError, match="count"):
+            native.seed_children([[1, 2, 3, 4]], -1)
