@@ -27,7 +27,7 @@ from repro.energy import BernoulliRecharge, ConstantRecharge
 from repro.energy.recharge import RechargeProcess
 from repro.events import WeibullInterArrival
 from repro.exceptions import SimulationError
-from repro.sim import simulate_single
+from repro.sim import _native, simulate_single
 
 DELTA1, DELTA2 = 1.0, 6.0
 
@@ -175,6 +175,27 @@ class TestEdges:
             delta1=DELTA1, delta2=DELTA2, horizon=20_000, seed=13,
         )
         assert ref == vec
+
+    def test_native_scan_refuses_short_inputs(self):
+        """The C scans read `horizon` slots of every input; a shorter
+        array is refused before its address is passed."""
+        native = _native.get_native_scan()
+        assert native is not None, "the C scan needs gcc/cc"
+        cs, flags, coins = np.arange(1.0, 9.0), np.zeros(8, bool), np.zeros(8)
+        table = np.ones(3)
+        args = (1.0, False, True, 10.0, 1.0, 1.0, 5.0)
+        activations, _, blocked, *_ = native.scan(cs, flags, coins, table, *args)
+        assert activations + blocked == 8  # every coin is below the table
+        for bad in (
+            (cs, flags[:7], coins, table, *args),
+            (cs, flags, coins[:7], table, *args),
+            (cs, flags, coins, np.ones(7), 1.0, True, *args[2:]),
+        ):
+            with pytest.raises(SimulationError, match="too short"):
+                native.scan(*bad)
+        resp = np.zeros(8, dtype=np.int64)
+        with pytest.raises(SimulationError, match="too short"):
+            native.scan_network(cs[None, :], flags, coins, resp[:7], table, *args)
 
 
 class TestDispatch:
